@@ -112,25 +112,20 @@ def montufar_bound(arch: Architecture) -> int:
 def serra_sum(arch: Architecture) -> int:
     """Recursive double-sum bound over per-layer activation counts.
 
-    Enumerates tuples (j_1..j_L) with j_l <= min(n0, n_1 - j_1, ...,
-    n_{l-1} - j_{l-1}, n_l) by depth-first search carrying the running
-    minimum, summing the product of C(n_l, j_l).
+    Sums the product of C(n_l, j_l) over tuples (j_1..j_L) with j_l <=
+    min(n0, n_1 - j_1, ..., n_{l-1} - j_{l-1}, n_l). Folds layer by layer
+    over a map from running minimum to the summed products of the prefixes
+    reaching it, so the work is linear in the depth.
     """
-    widths = arch.widths
-    depth = len(widths)
-    total = 0
-
-    def rec(l: int, run_min: int, prod: int) -> None:
-        nonlocal total
-        if l == depth:
-            total += prod
-            return
-        w = widths[l]
-        for j in range(min(run_min, w) + 1):
-            rec(l + 1, min(run_min, w - j), prod * math.comb(w, j))
-
-    rec(0, arch.n0, 1)
-    return total
+    sums = {arch.n0: 1}
+    for w in arch.widths:
+        folded: dict[int, int] = {}
+        for run_min, total in sums.items():
+            for j in range(min(run_min, w) + 1):
+                key = min(run_min, w - j)
+                folded[key] = folded.get(key, 0) + total * math.comb(w, j)
+        sums = folded
+    return sum(sums.values())
 
 
 def stirling_weakened(n: int, L: int) -> float:

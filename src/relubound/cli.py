@@ -3,18 +3,16 @@
 Subcommands: bound (all bounds for one architecture), table (equal-width
 bound tables), matrix (one bound matrix), decompose (factor a binomial
 bound matrix), asymptotic (per-layer growth bases), count (exact region
-enumeration for a network), verify (self-check suite).
+enumeration for a network).
 
-All integer output is exact and printed in full. Identical flags and seed
-produce byte-identical output. RELUBOUND_THREADS caps worker threads for
-the enumeration commands.
+All integer output is exact and printed in full, however many digits it
+has. Identical flags and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 from fractions import Fraction
@@ -32,9 +30,8 @@ from .bound_matrices import (
     serra_sum,
     width_increases_somewhere,
 )
-from .gamma import BINOMIAL, BUILTIN, NAIVE, ZASLAVSKY
-from .histogram import Histogram, clip, l1_norm, leq, scale
-from .transition import Architecture, phi
+from .gamma import BINOMIAL, BUILTIN, ZASLAVSKY
+from .transition import Architecture
 
 WIDTHS_SHORTHAND = re.compile(r"^(\d+):x(\d+)$")
 
@@ -239,10 +236,7 @@ def cmd_count(args) -> int:
     else:
         raise ValueError("give --network FILE, --random, or --triangle")
     report = empirical.verify_network(
-        net,
-        args.box_radius,
-        allow_large=args.allow_large,
-        exact=not args.float_lp,
+        net, args.box_radius, allow_large=args.allow_large
     )
     sampled = None
     if args.samples:
@@ -251,7 +245,7 @@ def cmd_count(args) -> int:
         )
     ok = report.chain_ok and report.recursion_ok
     if sampled is not None:
-        ok = ok and sampled <= report.exact
+        ok = ok and sampled <= report.count
     if args.format == "json":
         payload = report.to_dict()
         if sampled is not None:
@@ -262,7 +256,7 @@ def cmd_count(args) -> int:
         return 0 if ok else 1
     arch = report.architecture
     print(f"n0={arch.n0} widths={','.join(map(str, arch.widths))}")
-    print(f"exact count:     {report.exact}")
+    print(f"exact count:     {report.count}")
     if sampled is not None:
         print(f"sampled count:   {sampled} ({args.samples} samples, seed {args.seed})")
     print(f"binomial bound:  {report.binomial}")
@@ -271,192 +265,6 @@ def cmd_count(args) -> int:
     print(f"chain exact <= binomial <= zaslavsky <= naive: {report.chain_ok}")
     print(f"per-layer dimension histogram dominance: {report.recursion_ok}")
     return 0 if ok else 1
-
-
-def _random_histogram(rng: random.Random, max_index: int = 8, max_count: int = 40) -> Histogram:
-    counts = [rng.randint(0, max_count) if rng.random() < 0.6 else 0
-              for _ in range(rng.randint(1, max_index + 1))]
-    return Histogram(tuple(counts))
-
-
-def _dominated_variant(rng: random.Random, w: Histogram) -> Histogram:
-    """Random v with v dominated by w: drop mass or move it to lower indices."""
-    counts = list(w.to_list())
-    for j in range(len(counts) - 1, -1, -1):
-        take = rng.randint(0, counts[j])
-        counts[j] -= take
-        if j > 0 and rng.random() < 0.5:
-            counts[rng.randrange(j)] += rng.randint(0, take)
-    return Histogram(tuple(counts))
-
-
-def _check_order_laws(rng: random.Random, cases: int) -> bool:
-    for _ in range(cases):
-        w = _random_histogram(rng)
-        v = _dominated_variant(rng, w)
-        u = _random_histogram(rng)
-        k = rng.randint(0, 5)
-        if not leq(v, w):
-            return False
-        if not leq(w, w):
-            return False
-        if leq(w, v) and v != w:
-            return False
-        if not leq(v + u, w + u):
-            return False
-        if not leq(scale(k, v), scale(k, w)):
-            return False
-        t = _dominated_variant(rng, v)
-        if not leq(t, w):
-            return False
-    return True
-
-
-def _check_norm_monotone(rng: random.Random, cases: int) -> bool:
-    for _ in range(cases):
-        w = _random_histogram(rng)
-        v = _dominated_variant(rng, w)
-        if l1_norm(v) > l1_norm(w):
-            return False
-    return True
-
-
-def _check_clip_monotone(rng: random.Random, cases: int) -> bool:
-    for _ in range(cases):
-        w = _random_histogram(rng)
-        v = _dominated_variant(rng, w)
-        i = rng.randint(0, 9)
-        j = rng.randint(i, 9)
-        if not leq(clip(v, i), clip(w, i)):
-            return False
-        if not leq(clip(w, i), clip(w, j)):
-            return False
-        if not leq(clip(w, i), w):
-            return False
-        if l1_norm(clip(w, i)) != l1_norm(w):
-            return False
-    return True
-
-
-def _check_phi_monotone(rng: random.Random, cases: int) -> bool:
-    for _ in range(cases):
-        w = _random_histogram(rng)
-        v = _dominated_variant(rng, w)
-        n_prime = rng.randint(1, 6)
-        for g in (NAIVE, ZASLAVSKY, BINOMIAL):
-            if not leq(phi(g, n_prime, v), phi(g, n_prime, w)):
-                return False
-    return True
-
-
-def _check_norm_equality(rng: random.Random, cases: int) -> bool:
-    for _ in range(cases):
-        v = _random_histogram(rng)
-        n_prime = rng.randint(1, 7)
-        if l1_norm(phi(ZASLAVSKY, n_prime, v)) != l1_norm(phi(BINOMIAL, n_prime, v)):
-            return False
-    return True
-
-
-def _check_decomposition(n_max: int) -> bool:
-    for n in range(1, n_max + 1):
-        if not decomposition.verify_B_equals_C(n):
-            return False
-        dec = decomposition.build_decomposition(n + 1)
-        size = dec.n
-        prod = decomposition._matmul(dec.P, dec.P_inv)
-        for i in range(size):
-            for j in range(size):
-                if prod[i][j] != (1 if i == j else 0):
-                    return False
-        pjq = decomposition._matmul(decomposition._matmul(dec.P, dec.J), dec.P_inv)
-        if pjq != dec.C:
-            return False
-    return True
-
-
-def _check_cross_formulation(rng: random.Random, archs: int) -> bool:
-    from .transition import compose_bound_histogram
-
-    for _ in range(archs):
-        n0 = rng.randint(1, 5)
-        widths = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
-        arch = Architecture(n0, widths)
-        for g in (NAIVE, ZASLAVSKY, BINOMIAL):
-            if l1_norm(compose_bound_histogram(g, arch)) != evaluate_bound(g, arch):
-                return False
-        if evaluate_bound(ZASLAVSKY, arch) != montufar_bound(arch):
-            return False
-        if evaluate_bound(BINOMIAL, arch) != serra_sum(arch):
-            return False
-    return True
-
-
-def _check_strictness(max_width: int, max_depth: int) -> bool:
-    from itertools import product
-
-    for n0 in range(1, max_width + 1):
-        for depth in range(1, max_depth + 1):
-            for widths in product(range(1, max_width + 1), repeat=depth):
-                arch = Architecture(n0, widths)
-                naive = naive_bound(arch)
-                mont = montufar_bound(arch)
-                binom = evaluate_bound(BINOMIAL, arch)
-                if not (binom <= mont <= naive):
-                    return False
-                if (mont < naive) != width_increases_somewhere(arch):
-                    return False
-                if (binom < mont) != narrow_layer_somewhere(arch):
-                    return False
-                if width_increases_somewhere(arch) or narrow_layer_somewhere(arch):
-                    if not binom < naive:
-                        return False
-    return True
-
-
-def _check_ground_truth(full: bool) -> bool:
-    for up in (False, True):
-        net = fixtures.triangle_network(third_unit_up=up)
-        count, sigs = empirical.exact_count(net, Fraction(10))
-        expected = (
-            fixtures.TRIANGLE_SIGNATURES_UP if up else fixtures.TRIANGLE_SIGNATURES_DOWN
-        )
-        if count != fixtures.TRIANGLE_REGION_COUNT:
-            return False
-        if {s[0] for s in sigs} != set(expected):
-            return False
-    if full:
-        for seed in range(5):
-            arch = Architecture(2, (3, 2))
-            net = empirical.random_network(arch, seed)
-            report = empirical.verify_network(net)
-            if not (report.chain_ok and report.recursion_ok):
-                return False
-    return True
-
-
-def cmd_verify(args) -> int:
-    cases = 500 if args.quick else 10000
-    rng = random.Random(args.seed)
-    checks = [
-        ("histogram order laws", lambda: _check_order_laws(rng, cases)),
-        ("norm monotone under dominance", lambda: _check_norm_monotone(rng, cases)),
-        ("clip monotone and mass preserving", lambda: _check_clip_monotone(rng, cases)),
-        ("transition monotone", lambda: _check_phi_monotone(rng, cases)),
-        ("zaslavsky and binomial norms agree", lambda: _check_norm_equality(rng, cases)),
-        ("decomposition identities", lambda: _check_decomposition(6 if args.quick else 12)),
-        ("matrix and histogram paths agree", lambda: _check_cross_formulation(rng, 25 if args.quick else 200)),
-        ("strictness conditions exact", lambda: _check_strictness(3, 2) if args.quick else _check_strictness(4, 3)),
-        ("region counts within bounds", lambda: _check_ground_truth(full=not args.quick)),
-    ]
-    failures = 0
-    for name, run in checks:
-        ok = run()
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures += 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,20 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
                    default=empirical.DEFAULT_BOX_RADIUS)
     p.add_argument("--allow-large", action="store_true",
                    help="lift the instance size guard")
-    p.add_argument("--float-lp", action="store_true",
-                   help="use the float LP instead of exact rationals")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("verify", help="run the self-check suite")
-    p.add_argument("--quick", action="store_true", help="smaller case counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
+    # Python 3.11+ refuses str() of integers past 4300 digits by default;
+    # the bounds here routinely exceed that and must print in full.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

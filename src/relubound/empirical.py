@@ -14,9 +14,7 @@ an accepted and documented limitation of the counter, not of the bounds.
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -42,23 +40,16 @@ GUARD_WIDTH = 5
 GUARD_DEPTH = 3
 
 
-def thread_cap() -> int:
-    """Worker cap from RELUBOUND_THREADS (default 1, i.e. sequential)."""
-    raw = os.environ.get("RELUBOUND_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(value, 64))
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {x!r}") from None
     raise ValueError(f"not an exact rational: {x!r}")
 
 
@@ -152,9 +143,7 @@ def signature_at(net: ReluNetwork, x: Sequence) -> MultiSignature:
     return tuple(sigs)
 
 
-def _region_lp(
-    constraints: Sequence[Constraint], box_radius: Fraction, n_vars: int, exact: bool
-):
+def _region_lp(constraints: Sequence[Constraint], box_radius: Fraction, n_vars: int):
     """Maximize t with strict rows >= t, nonstrict rows <= 0, x in the box, t <= 1.
 
     Returns (t_star, witness_x) or (None, None) when even the nonstrict
@@ -183,7 +172,7 @@ def _region_lp(
     rows.append([Fraction(0)] * d + [Fraction(1), Fraction(-1)])
     rhs.append(Fraction(1))
     objective = [Fraction(0)] * d + [Fraction(1), Fraction(-1)]
-    status, value, sol = solve_max(objective, rows, rhs, exact=exact)
+    status, value, sol = solve_max(objective, rows, rhs)
     if status == INFEASIBLE:
         return None, None
     if status != OPTIMAL:
@@ -192,19 +181,11 @@ def _region_lp(
     return value, witness
 
 
-def feasible(
-    constraints: Sequence[Constraint],
-    box_radius=DEFAULT_BOX_RADIUS,
-    *,
-    exact: bool = True,
-) -> bool:
+def feasible(constraints: Sequence[Constraint], box_radius=DEFAULT_BOX_RADIUS) -> bool:
     """True iff some x in the box satisfies all constraints (strict ones strictly)."""
     n_vars = len(constraints[0].coeffs) if constraints else 1
-    t_star, _ = _region_lp(constraints, box_radius, n_vars, exact)
-    if t_star is None:
-        return False
-    threshold = 0 if exact else 1e-9
-    return t_star > threshold
+    t_star, _ = _region_lp(constraints, box_radius, n_vars)
+    return t_star is not None and t_star > 0
 
 
 @dataclass(frozen=True)
@@ -240,7 +221,6 @@ def _expand_region(
     layer: ReluLayer,
     box_radius: Fraction,
     n0: int,
-    exact: bool,
 ) -> list[RegionRecord]:
     """All feasible extensions of one region by one layer.
 
@@ -259,9 +239,8 @@ def _expand_region(
     width = layer.out_dim
 
     def descend(i: int, bits: tuple[int, ...], cons: tuple[Constraint, ...]) -> None:
-        t_star, witness = _region_lp(cons, box_radius, n0, exact)
-        threshold = 0 if exact else 1e-9
-        if t_star is None or t_star <= threshold:
+        t_star, witness = _region_lp(cons, box_radius, n0)
+        if t_star is None or t_star <= 0:
             return
         if i == width:
             new_linear = tuple(
@@ -295,7 +274,6 @@ def enumerate_regions(
     box_radius=DEFAULT_BOX_RADIUS,
     *,
     allow_large: bool = False,
-    exact: bool = True,
 ) -> EnumerationResult:
     """Breadth-first exact enumeration of attained multi-signatures in the box."""
     _check_guard(net, allow_large)
@@ -314,19 +292,10 @@ def enumerate_regions(
     )
     regions = [root]
     layer_sets: list[frozenset[MultiSignature]] = []
-    workers = thread_cap()
     for layer in net.layers:
-        if workers > 1 and len(regions) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(
-                    pool.map(
-                        lambda r: _expand_region(r, layer, radius, n0, exact),
-                        regions,
-                    )
-                )
-        else:
-            chunks = [_expand_region(r, layer, radius, n0, exact) for r in regions]
-        regions = [rec for chunk in chunks for rec in chunk]
+        regions = [
+            rec for r in regions for rec in _expand_region(r, layer, radius, n0)
+        ]
         layer_sets.append(frozenset(r.prefix for r in regions))
     return EnumerationResult(tuple(layer_sets), tuple(regions))
 
@@ -336,12 +305,9 @@ def exact_count(
     box_radius=DEFAULT_BOX_RADIUS,
     *,
     allow_large: bool = False,
-    exact: bool = True,
 ) -> tuple[int, frozenset[MultiSignature]]:
     """Number of attained multi-signatures in the box, plus the set itself."""
-    result = enumerate_regions(
-        net, box_radius, allow_large=allow_large, exact=exact
-    )
+    result = enumerate_regions(net, box_radius, allow_large=allow_large)
     return result.count, result.multisignatures
 
 
@@ -394,7 +360,7 @@ class VerificationReport:
     """Exact count against the bound chain, with per-layer recursion checks."""
 
     architecture: Architecture
-    exact: int
+    count: int
     binomial: int
     zaslavsky: int
     naive: int
@@ -403,13 +369,13 @@ class VerificationReport:
     recursion_detail: tuple[tuple[str, int, bool], ...]  # (gamma, layer, ok)
 
     def values(self) -> tuple[int, int, int, int]:
-        return (self.exact, self.binomial, self.zaslavsky, self.naive)
+        return (self.count, self.binomial, self.zaslavsky, self.naive)
 
     def to_dict(self) -> dict:
         return {
             "n0": self.architecture.n0,
             "widths": list(self.architecture.widths),
-            "exact_count": self.exact,
+            "exact_count": self.count,
             "binomial_bound": self.binomial,
             "zaslavsky_bound": self.zaslavsky,
             "naive_bound": self.naive,
@@ -450,25 +416,22 @@ def verify_network(
     box_radius=DEFAULT_BOX_RADIUS,
     *,
     allow_large: bool = False,
-    exact: bool = True,
 ) -> VerificationReport:
     """Enumerate, bound, and check the whole chain for one network."""
-    enumeration = enumerate_regions(
-        net, box_radius, allow_large=allow_large, exact=exact
-    )
+    enumeration = enumerate_regions(net, box_radius, allow_large=allow_large)
     arch = net.architecture
-    exact = enumeration.count
+    count = enumeration.count
     binom = bound_matrices.evaluate_bound(BINOMIAL, arch)
     zasl = bound_matrices.evaluate_bound(ZASLAVSKY, arch)
     naive = bound_matrices.naive_bound(arch)
     detail = recursion_checks(net, enumeration)
     return VerificationReport(
         architecture=arch,
-        exact=exact,
+        count=count,
         binomial=binom,
         zaslavsky=zasl,
         naive=naive,
-        chain_ok=exact <= binom <= zasl <= naive,
+        chain_ok=count <= binom <= zasl <= naive,
         recursion_ok=all(ok for (_, _, ok) in detail),
         recursion_detail=detail,
     )
@@ -488,14 +451,31 @@ def network_to_dict(net: ReluNetwork) -> dict:
 
 
 def network_from_dict(data: Mapping) -> ReluNetwork:
-    layers = tuple(
-        ReluLayer(
-            tuple(tuple(_frac(w) for w in row) for row in entry["W"]),
-            tuple(_frac(b) for b in entry["b"]),
+    """Inverse of network_to_dict; ValueError names the first malformed part."""
+    if not isinstance(data, Mapping):
+        raise ValueError("network JSON must be an object with 'n0' and 'layers'")
+    for key in ("n0", "layers"):
+        if key not in data:
+            raise ValueError(f"network JSON lacks {key!r}")
+    if isinstance(data["n0"], bool) or not isinstance(data["n0"], int):
+        raise ValueError("network 'n0' must be an integer")
+    if not isinstance(data["layers"], list):
+        raise ValueError("network 'layers' must be a list")
+    layers = []
+    for index, entry in enumerate(data["layers"], start=1):
+        if not isinstance(entry, Mapping) or "W" not in entry or "b" not in entry:
+            raise ValueError(f"layer {index} needs 'W' and 'b'")
+        weights, biases = entry["W"], entry["b"]
+        rows_ok = isinstance(weights, list) and all(isinstance(r, list) for r in weights)
+        if not rows_ok or not isinstance(biases, list):
+            raise ValueError(f"layer {index}: 'W' must be a list of lists, 'b' a list")
+        layers.append(
+            ReluLayer(
+                tuple(tuple(_frac(w) for w in row) for row in weights),
+                tuple(_frac(b) for b in biases),
+            )
         )
-        for entry in data["layers"]
-    )
-    return ReluNetwork(int(data["n0"]), layers)
+    return ReluNetwork(data["n0"], tuple(layers))
 
 
 def save_network(net: ReluNetwork, path: str | Path) -> None:

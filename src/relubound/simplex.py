@@ -1,11 +1,8 @@
-"""Dense two-phase simplex with Bland's rule, exact by default.
+"""Dense two-phase simplex with Bland's rule in exact rational arithmetic.
 
-Solves: maximize c.z subject to A z <= b, z >= 0. With exact=True all
-arithmetic is in fractions.Fraction and comparisons are against literal
-zero, so the answer is exact and Bland's rule guarantees termination. With
-exact=False the same tableau runs in floats with a small tolerance; that
-mode exists for speed experiments only and is never used by the test
-suite's acceptance runs.
+Solves: maximize c.z subject to A z <= b, z >= 0. All arithmetic is in
+fractions.Fraction and every comparison is against literal zero, so the
+answer is exact and Bland's rule guarantees termination.
 
 Problems here are tiny (tens of rows), so no effort is spent on sparsity
 or revised-simplex machinery.
@@ -20,16 +17,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-FLOAT_TOL = 1e-9
 
-
-def solve_max(
-    objective: Sequence,
-    rows: Sequence[Sequence],
-    rhs: Sequence,
-    *,
-    exact: bool = True,
-):
+def solve_max(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
     """Return (status, value, solution) for max c.z s.t. rows.z <= rhs, z >= 0.
 
     solution is a list of variable values (length of ``objective``) when
@@ -37,13 +26,11 @@ def solve_max(
     """
     n = len(objective)
     m = len(rows)
-    conv = Fraction if exact else float
-    tol = Fraction(0) if exact else conv(FLOAT_TOL)
-    zero = conv(0)
-    one = conv(1)
-    cost = [conv(c) for c in objective]
+    zero = Fraction(0)
+    one = Fraction(1)
+    cost = [Fraction(c) for c in objective]
     if m == 0:
-        if any(c > tol for c in cost):
+        if any(c > 0 for c in cost):
             return UNBOUNDED, None, None
         return OPTIMAL, zero, [zero] * n
 
@@ -52,9 +39,9 @@ def solve_max(
     basis: list[int] = []
     art_cols: list[int] = []
     for i in range(m):
-        row = [conv(x) for x in rows[i]] + [zero] * m + [conv(rhs[i])]
+        row = [Fraction(x) for x in rows[i]] + [zero] * m + [Fraction(rhs[i])]
         row[n + i] = one
-        if row[-1] < zero:
+        if row[-1] < 0:
             row = [-x for x in row]
         table.append(row)
     ncols = n + m
@@ -73,10 +60,10 @@ def solve_max(
         phase1 = [zero] * ncols
         for j in art_cols:
             phase1[j] = -one
-        status, value = _run(table, basis, phase1, ncols, tol, zero)
-        if status != OPTIMAL or value < -tol:
+        status, value = _run(table, basis, phase1, ncols)
+        if status != OPTIMAL or value < 0:
             return INFEASIBLE, None, None
-        _evict_artificials(table, basis, set(art_cols), n + m, tol, zero)
+        _evict_artificials(table, basis, set(art_cols), n + m)
         # All surviving rows now have real basic variables; drop the
         # artificial columns wholesale.
         keep = n + m
@@ -85,7 +72,7 @@ def solve_max(
         ncols = keep
 
     phase2 = cost + [zero] * (ncols - n)
-    status, value = _run(table, basis, phase2, ncols, tol, zero)
+    status, value = _run(table, basis, phase2, ncols)
     if status != OPTIMAL:
         return status, None, None
     solution = [zero] * n
@@ -95,22 +82,22 @@ def solve_max(
     return OPTIMAL, value, solution
 
 
-def _run(table, basis, cost, ncols, tol, zero):
+def _run(table, basis, cost, ncols):
     """Bland-rule simplex iterations on a basic feasible tableau."""
     m = len(table)
     # Objective row in (z_j - c_j | z) form: start from -c and clear the
     # basic columns by adding cost-weighted constraint rows.
-    obj = [-c for c in cost] + [zero]
+    obj = [-c for c in cost] + [Fraction(0)]
     for r in range(m):
         cb = cost[basis[r]]
-        if cb != zero:
+        if cb != 0:
             row = table[r]
             for j in range(ncols + 1):
                 obj[j] += cb * row[j]
     while True:
         enter = -1
         for j in range(ncols):
-            if obj[j] < -tol:
+            if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
@@ -119,7 +106,7 @@ def _run(table, basis, cost, ncols, tol, zero):
         best = None
         for i in range(m):
             a = table[i][enter]
-            if a > tol:
+            if a > 0:
                 ratio = table[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
@@ -145,7 +132,7 @@ def _pivot(table, obj, basis, i, j):
     basis[i] = j
 
 
-def _evict_artificials(table, basis, art, real_cols, tol, zero):
+def _evict_artificials(table, basis, art, real_cols):
     """Pivot basic artificials (necessarily at value 0) onto real columns.
 
     Rows with no real coefficient left are redundant constraints and are
@@ -156,12 +143,11 @@ def _evict_artificials(table, basis, art, real_cols, tol, zero):
         if basis[i] in art:
             target = -1
             for j in range(real_cols):
-                a = table[i][j]
-                if a > tol or a < -tol:
+                if table[i][j] != 0:
                     target = j
                     break
             if target >= 0:
-                dummy = [zero] * len(table[i])
+                dummy = [Fraction(0)] * len(table[i])
                 _pivot(table, dummy, basis, i, target)
             else:
                 drop.append(i)

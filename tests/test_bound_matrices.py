@@ -138,6 +138,11 @@ class TestReferenceBounds:
             arch = Architecture(n0, widths)
             assert serra_sum(arch) == evaluate_bound(BINOMIAL, arch)
 
+    def test_serra_deep_narrow(self):
+        # one layer per recursion level would overflow the interpreter stack
+        arch = Architecture(1, (1,) * 2000)
+        assert serra_sum(arch) == evaluate_bound(BINOMIAL, arch)
+
     def test_stirling_weakened_value(self):
         assert stirling_weakened(4, 2) == pytest.approx(
             232.08394787513956, rel=1e-12

@@ -189,12 +189,36 @@ class TestCountCommand:
         assert first == second
 
 
-class TestVerifyCommand:
-    def test_quick_suite_passes(self, capsys):
-        assert main(["verify", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "9/9 checks passed" in out
-        assert "FAIL" not in out
+class TestBigIntegers:
+    def test_bound_past_default_digit_limit(self, capsys):
+        assert main(["bound", "--n0", "1", "--widths", "1:x14400", "--gamma", "naive"]) == 0
+        assert f"naive: {2 ** 14400}" in capsys.readouterr().out
+
+    def test_json_past_default_digit_limit(self, capsys):
+        argv = ["bound", "--n0", "1", "--widths", "1:x14400", "--gamma", "naive",
+                "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] == 2 ** 14400
+
+
+MALFORMED_NETWORKS = {
+    "no_layers": {"n0": 1},
+    "layer_without_b": {"n0": 1, "layers": [{"W": [["1"]]}]},
+    "top_level_list": [{"n0": 1}],
+    "zero_denominator": {"n0": 1, "layers": [{"W": [["1/0"]], "b": ["0"]}]},
+    "n0_not_integer": {"n0": [1], "layers": [{"W": [["1"]], "b": ["0"]}]},
+    "weights_not_lists": {"n0": 1, "layers": [{"W": 5, "b": ["0"]}]},
+    "boolean_entry": {"n0": 1, "layers": [{"W": [[True]], "b": [False]}]},
+}
+
+
+class TestMalformedNetwork:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_NETWORKS))
+    def test_clear_error(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(MALFORMED_NETWORKS[name]))
+        assert main(["count", "--network", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestArgumentErrors:

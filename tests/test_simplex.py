@@ -1,9 +1,8 @@
 """The exact LP solver used for region feasibility."""
 
+import itertools
 import random
 from fractions import Fraction
-
-import pytest
 
 from relubound.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_max
 
@@ -91,16 +90,59 @@ class TestPhaseOne:
         assert status == INFEASIBLE
 
 
-class TestFloatMode:
-    def test_agrees_with_exact(self):
-        status, value, sol = solve_max(
-            [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [3.0, 1.0], exact=False
-        )
-        assert status == OPTIMAL
-        assert value == pytest.approx(4.0)
+def vertex_oracle(objective, rows, rhs):
+    """Brute-force reference for max c.z s.t. rows.z <= rhs, z >= 0.
 
-    def test_random_cross_check(self):
+    Solves every n-subset of the constraints (the z >= 0 bounds included)
+    as equalities, keeps the feasible vertices and returns the best
+    objective as (status, value). Only valid for bounded problems.
+    """
+    n = len(objective)
+    cons = [(list(row), b) for row, b in zip(rows, rhs)]
+    for i in range(n):
+        bound = [F(0)] * n
+        bound[i] = F(-1)
+        cons.append((bound, F(0)))
+    best = None
+    for subset in itertools.combinations(cons, n):
+        z = solve_square([row for row, _ in subset], [b for _, b in subset])
+        if z is None:
+            continue
+        if all(sum(a * x for a, x in zip(row, z)) <= b for row, b in cons):
+            value = sum(c * x for c, x in zip(objective, z))
+            if best is None or value > best:
+                best = value
+    return (INFEASIBLE, None) if best is None else (OPTIMAL, best)
+
+
+def solve_square(a, b):
+    """Unique solution of a z = b by Gauss-Jordan elimination, None if singular."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
+class TestVertexOracle:
+    def test_oracle_on_known_optimum(self):
+        assert vertex_oracle([F(3), F(2)], frows([[1, 1], [1, 0]]), [F(4), F(2)]) == (
+            OPTIMAL,
+            10,
+        )
+        assert vertex_oracle([F(1)], frows([[1]]), [F(-1)]) == (INFEASIBLE, None)
+
+    def test_random_capped_lps(self):
         rng = random.Random(0)
+        statuses = set()
         for _ in range(60):
             n, m = rng.randint(1, 3), rng.randint(1, 4)
             obj = [F(rng.randint(-3, 3)) for _ in range(n)]
@@ -112,16 +154,10 @@ class TestFloatMode:
                 cap[i] = F(1)
                 rows.append(cap)
                 rhs.append(F(5))
-            s1, v1, _ = solve_max(obj, rows, rhs)
-            s2, v2, _ = solve_max(
-                [float(c) for c in obj],
-                [[float(x) for x in row] for row in rows],
-                [float(b) for b in rhs],
-                exact=False,
-            )
-            assert s1 == s2
-            if s1 == OPTIMAL:
-                assert float(v1) == pytest.approx(v2, abs=1e-6)
+            status, value, _ = solve_max(obj, rows, rhs)
+            assert (status, value) == vertex_oracle(obj, rows, rhs)
+            statuses.add(status)
+        assert statuses == {OPTIMAL, INFEASIBLE}
 
 
 class TestDegenerate:
