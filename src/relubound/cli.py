@@ -57,6 +57,12 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad integer list: {text!r}")
 
 
+def parse_positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -287,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="layer width")
     p.add_argument("--n0-list", type=parse_int_list, default=(1, 2, 3, 4),
                    help="input dimensions, comma separated")
-    p.add_argument("--l-max", type=int, default=6, help="maximum depth")
+    p.add_argument("--l-max", type=parse_positive_int, default=6,
+                   help="maximum depth")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=cmd_table)
 

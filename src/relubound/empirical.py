@@ -144,11 +144,11 @@ def signature_at(net: ReluNetwork, x: Sequence) -> MultiSignature:
 
 
 def _region_lp(constraints: Sequence[Constraint], box_radius: Fraction, n_vars: int):
-    """Maximize t with strict rows >= t, nonstrict rows <= 0, x in the box, t <= 1.
+    """Maximize t in [0, 1] with strict rows >= t, nonstrict rows <= 0, x in the box.
 
-    Returns (t_star, witness_x) or (None, None) when even the nonstrict
-    system is empty inside the box. The region is nonempty iff t_star > 0.
-    Variables are shifted by +R to stay nonnegative and t is split in two.
+    Returns a witness x of the region, or None when the region is empty in
+    the box: either the LP is infeasible or its optimum is t* = 0. Variables
+    are shifted by +R to stay nonnegative.
     """
     radius = _frac(box_radius)
     if radius <= 0:
@@ -159,33 +159,31 @@ def _region_lp(constraints: Sequence[Constraint], box_radius: Fraction, n_vars: 
     for con in constraints:
         shift = radius * sum(con.coeffs)
         if con.strict:
-            rows.append([-a for a in con.coeffs] + [Fraction(1), Fraction(-1)])
+            rows.append([-a for a in con.coeffs] + [Fraction(1)])
             rhs.append(con.offset - shift)
         else:
-            rows.append(list(con.coeffs) + [Fraction(0), Fraction(0)])
+            rows.append(list(con.coeffs) + [Fraction(0)])
             rhs.append(shift - con.offset)
     for i in range(d):
-        row = [Fraction(0)] * (d + 2)
+        row = [Fraction(0)] * (d + 1)
         row[i] = Fraction(1)
         rows.append(row)
         rhs.append(2 * radius)
-    rows.append([Fraction(0)] * d + [Fraction(1), Fraction(-1)])
+    rows.append([Fraction(0)] * d + [Fraction(1)])
     rhs.append(Fraction(1))
-    objective = [Fraction(0)] * d + [Fraction(1), Fraction(-1)]
+    objective = [Fraction(0)] * d + [Fraction(1)]
     status, value, sol = solve_max(objective, rows, rhs)
-    if status == INFEASIBLE:
-        return None, None
-    if status != OPTIMAL:
+    if status not in (OPTIMAL, INFEASIBLE):
         raise RuntimeError("region feasibility solve failed")
-    witness = tuple(Fraction(sol[i]) - radius for i in range(d))
-    return value, witness
+    if status == INFEASIBLE or value <= 0:
+        return None
+    return tuple(Fraction(sol[i]) - radius for i in range(d))
 
 
 def feasible(constraints: Sequence[Constraint], box_radius=DEFAULT_BOX_RADIUS) -> bool:
     """True iff some x in the box satisfies all constraints (strict ones strictly)."""
     n_vars = len(constraints[0].coeffs) if constraints else 1
-    t_star, _ = _region_lp(constraints, box_radius, n_vars)
-    return t_star is not None and t_star > 0
+    return _region_lp(constraints, box_radius, n_vars) is not None
 
 
 @dataclass(frozen=True)
@@ -238,10 +236,9 @@ def _expand_region(
     out: list[RegionRecord] = []
     width = layer.out_dim
 
-    def descend(i: int, bits: tuple[int, ...], cons: tuple[Constraint, ...]) -> None:
-        t_star, witness = _region_lp(cons, box_radius, n0)
-        if t_star is None or t_star <= 0:
-            return
+    def descend(
+        i: int, bits: tuple[int, ...], cons: tuple[Constraint, ...], witness: Vector
+    ) -> None:
         if i == width:
             new_linear = tuple(
                 funcs[k][0] if bit else tuple(Fraction(0) for _ in range(n0))
@@ -262,10 +259,14 @@ def _expand_region(
             return
         coeffs, offset = funcs[i]
         for bit in (0, 1):
-            con = Constraint(coeffs, offset, strict=bool(bit))
-            descend(i + 1, bits + (bit,), cons + (con,))
+            child = cons + (Constraint(coeffs, offset, strict=bool(bit)),)
+            child_witness = _region_lp(child, box_radius, n0)
+            if child_witness is not None:
+                descend(i + 1, bits + (bit,), child, child_witness)
 
-    descend(0, (), region.constraints)
+    # No solve at the root: the previous layer's leaf LP (or, for the input
+    # region, the box itself) already proved the region's constraints feasible.
+    descend(0, (), region.constraints, region.witness)
     return out
 
 
@@ -298,17 +299,6 @@ def enumerate_regions(
         ]
         layer_sets.append(frozenset(r.prefix for r in regions))
     return EnumerationResult(tuple(layer_sets), tuple(regions))
-
-
-def exact_count(
-    net: ReluNetwork,
-    box_radius=DEFAULT_BOX_RADIUS,
-    *,
-    allow_large: bool = False,
-) -> tuple[int, frozenset[MultiSignature]]:
-    """Number of attained multi-signatures in the box, plus the set itself."""
-    result = enumerate_regions(net, box_radius, allow_large=allow_large)
-    return result.count, result.multisignatures
 
 
 def sample_count(

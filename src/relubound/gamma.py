@@ -4,17 +4,15 @@ A gamma collection maps a pair (n, n') with 0 <= n <= n' to a histogram
 that dominates, under the tail-sum order, the activation histogram any
 width-n' layer on an n-dimensional input can attain. It must also be
 monotone in n. Three built-in collections are provided, ordered from
-crudest to sharpest: NAIVE, ZASLAVSKY, BINOMIAL. A fourth, table-driven
-kind can be loaded from JSON for experimentation.
+crudest to sharpest: NAIVE, ZASLAVSKY, BINOMIAL. Any other collection
+is a GammaCollection(name, rule).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .histogram import Histogram, leq
 
@@ -112,47 +110,3 @@ def check_against_network(
     observed = activation_histogram(signatures, n_prime)
     return leq(observed, gamma_value(g, min(n, n_prime), n_prime))
 
-
-def load_table_gamma(source: str | Path | Mapping) -> GammaCollection:
-    """Load a user-supplied collection from JSON.
-
-    Expected shape: {"entries": [{"n": int, "n_prime": int,
-    "histogram": [int, ...]}, ...]}. For every n' present the table must
-    cover all n in 0..n' (monotonicity is ill-posed on gaps), and the
-    monotonicity requirement is enforced at load time.
-    """
-    if isinstance(source, Mapping):
-        data = source
-    else:
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    entries = data.get("entries")
-    if not isinstance(entries, list):
-        raise ValueError("gamma table must contain an 'entries' list")
-    table: dict[tuple[int, int], Histogram] = {}
-    for item in entries:
-        n, n_prime = int(item["n"]), int(item["n_prime"])
-        if n_prime < 1 or n < 0 or n > n_prime:
-            raise ValueError("dimension out of range")
-        if (n, n_prime) in table:
-            raise ValueError(f"duplicate gamma table entry ({n}, {n_prime})")
-        table[(n, n_prime)] = Histogram(tuple(int(x) for x in item["histogram"]))
-    widths = sorted({np for (_, np) in table})
-    for n_prime in widths:
-        for n in range(n_prime + 1):
-            if (n, n_prime) not in table:
-                raise ValueError(
-                    f"incomplete gamma table: missing ({n}, {n_prime})"
-                )
-        for n in range(n_prime):
-            if not leq(table[(n, n_prime)], table[(n + 1, n_prime)]):
-                raise ValueError(
-                    f"gamma table violates monotonicity at ({n}, {n_prime})"
-                )
-
-    def rule(n: int, n_prime: int) -> Histogram:
-        try:
-            return table[(n, n_prime)]
-        except KeyError:
-            raise ValueError(f"gamma table has no entry for n'={n_prime}") from None
-
-    return GammaCollection("user", rule)

@@ -64,8 +64,8 @@ def solve_max(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
         if status != OPTIMAL or value < 0:
             return INFEASIBLE, None, None
         _evict_artificials(table, basis, set(art_cols), n + m)
-        # All surviving rows now have real basic variables; drop the
-        # artificial columns wholesale.
+        # Every row now has a real basic variable; drop the artificial
+        # columns wholesale.
         keep = n + m
         for r in range(len(table)):
             table[r] = table[r][:keep] + [table[r][-1]]
@@ -135,22 +135,11 @@ def _pivot(table, obj, basis, i, j):
 def _evict_artificials(table, basis, art, real_cols):
     """Pivot basic artificials (necessarily at value 0) onto real columns.
 
-    Rows with no real coefficient left are redundant constraints and are
-    deleted together with their basis entry.
+    A basic artificial's row always has a nonzero entry in a slack column:
+    the slack block of the tableau is B^-1 times a diagonal of +-1, and no
+    row of an invertible matrix is zero. So no row is ever redundant.
     """
-    drop = []
     for i in range(len(table)):
         if basis[i] in art:
-            target = -1
-            for j in range(real_cols):
-                if table[i][j] != 0:
-                    target = j
-                    break
-            if target >= 0:
-                dummy = [Fraction(0)] * len(table[i])
-                _pivot(table, dummy, basis, i, target)
-            else:
-                drop.append(i)
-    for i in reversed(drop):
-        del table[i]
-        del basis[i]
+            target = next(j for j in range(real_cols) if table[i][j] != 0)
+            _pivot(table, [Fraction(0)] * len(table[i]), basis, i, target)

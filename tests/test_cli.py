@@ -227,6 +227,12 @@ class TestArgumentErrors:
             main(["matrix", "--gamma", "sharpest", "--n", "2"])
         assert err.value.code == 2
 
+    def test_table_needs_a_layer(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--n", "4", "--l-max", "0"])
+        assert err.value.code == 2
+        assert "--l-max" in capsys.readouterr().err
+
     def test_missing_required(self):
         with pytest.raises(SystemExit):
             main(["bound", "--widths", "3"])

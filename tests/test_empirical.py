@@ -13,7 +13,6 @@ from relubound import (
     ReluNetwork,
     dimension_histogram,
     enumerate_regions,
-    exact_count,
     feasible,
     load_network,
     random_network,
@@ -23,6 +22,7 @@ from relubound import (
     triangle_network,
     verify_network,
 )
+from relubound import empirical
 from relubound.empirical import network_from_dict, network_to_dict
 from relubound.fixtures import (
     TRIANGLE_REGION_COUNT,
@@ -118,17 +118,32 @@ class TestFeasible:
         with pytest.raises(ValueError):
             feasible([], F(0))
 
+    def test_strict_zero_row_is_empty(self):
+        # 0 > 0: the LP is feasible but its optimum is t* = 0
+        assert not feasible([Constraint((F(0),), F(0), strict=True)], BOX10)
+
+    def test_nonstrict_zero_row_is_full(self):
+        assert feasible([Constraint((F(0),), F(0), strict=False)], BOX10)
+
+    def test_strict_zero_row_with_positive_offset_is_full(self):
+        assert feasible([Constraint((F(0),), F(1), strict=True)], BOX10)
+
+    def test_opposite_strict_pair_is_empty(self):
+        c_pos = Constraint((F(1),), F(0), strict=True)
+        c_neg = Constraint((F(-1),), F(0), strict=True)
+        assert not feasible([c_pos, c_neg], BOX10)
+
 
 class TestTriangleFixture:
     def test_down_variant(self):
-        count, sigs = exact_count(triangle_network(), BOX10)
-        assert count == TRIANGLE_REGION_COUNT
-        assert {s[0] for s in sigs} == set(TRIANGLE_SIGNATURES_DOWN)
+        res = enumerate_regions(triangle_network(), BOX10)
+        assert res.count == TRIANGLE_REGION_COUNT
+        assert {s[0] for s in res.multisignatures} == set(TRIANGLE_SIGNATURES_DOWN)
 
     def test_up_variant(self):
-        count, sigs = exact_count(triangle_network(third_unit_up=True), BOX10)
-        assert count == TRIANGLE_REGION_COUNT
-        assert {s[0] for s in sigs} == set(TRIANGLE_SIGNATURES_UP)
+        res = enumerate_regions(triangle_network(third_unit_up=True), BOX10)
+        assert res.count == TRIANGLE_REGION_COUNT
+        assert {s[0] for s in res.multisignatures} == set(TRIANGLE_SIGNATURES_UP)
 
     def test_variants_share_dimension_histogram(self):
         for up in (False, True):
@@ -158,27 +173,25 @@ class TestEnumeration:
             ((F(1),), (F(1),), (F(1),)), (F(-1), F(-2), F(-3))
         )
         net = ReluNetwork(1, (layer,))
-        count, sigs = exact_count(net, BOX10)
-        assert count == 4
+        assert enumerate_regions(net, BOX10).count == 4
 
     def test_zero_network_single_region(self):
         layer = ReluLayer(((F(0), F(0)), (F(0), F(0))), (F(0), F(0)))
         net = ReluNetwork(2, (layer,))
-        count, sigs = exact_count(net, BOX10)
-        assert count == 1
-        assert sigs == frozenset({((0, 0),)})
+        res = enumerate_regions(net, BOX10)
+        assert res.count == 1
+        assert res.multisignatures == frozenset({((0, 0),)})
 
     def test_guard_rejects_large(self):
         arch = Architecture(4, (2,))
         net = random_network(arch, 0)
         with pytest.raises(ValueError, match="instance too large"):
-            exact_count(net, BOX10)
+            enumerate_regions(net, BOX10)
 
     def test_guard_override(self):
         arch = Architecture(4, (1,))
         net = random_network(arch, 0)
-        count, _ = exact_count(net, BOX10, allow_large=True)
-        assert count == 2
+        assert enumerate_regions(net, BOX10, allow_large=True).count == 2
 
     def test_per_layer_prefix_sets_nest(self):
         net = random_network(Architecture(2, (3, 2)), 4)
@@ -186,6 +199,19 @@ class TestEnumeration:
         assert len(res.prefixes_per_layer) == 2
         first = {p[0] for p in res.prefixes_per_layer[1]}
         assert first <= {p[0] for p in res.prefixes_per_layer[0]}
+
+    def test_no_constraint_system_solved_twice(self, monkeypatch):
+        solved = []
+        region_lp = empirical._region_lp
+
+        def recording(constraints, box_radius, n_vars):
+            solved.append(tuple(constraints))
+            return region_lp(constraints, box_radius, n_vars)
+
+        monkeypatch.setattr(empirical, "_region_lp", recording)
+        enumerate_regions(random_network(Architecture(2, (3, 2)), 4), F(10))
+        assert len(solved) == len(set(solved))
+        assert len(solved) == 48
 
 
 class TestSampling:
@@ -201,8 +227,7 @@ class TestSampling:
         for seed in range(5):
             net = random_network(Architecture(2, (3,)), seed)
             sampled = sample_count(net, 300, BOX10, seed=seed)
-            exact, _ = exact_count(net, BOX10)
-            assert sampled <= exact
+            assert sampled <= enumerate_regions(net, BOX10).count
 
     def test_saturates_fixture(self):
         assert sample_count(triangle_network(), 4000, BOX10, seed=1) == 7

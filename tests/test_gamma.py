@@ -1,4 +1,4 @@
-"""Gamma collections: values, validation, monotonicity, table loading."""
+"""Gamma collections: values, validation, monotonicity."""
 
 import pytest
 
@@ -16,7 +16,6 @@ from relubound import (
     gamma_value,
     l1_norm,
     leq,
-    load_table_gamma,
     triangle_network,
 )
 from relubound.fixtures import TRIANGLE_SIGNATURES_DOWN
@@ -100,60 +99,3 @@ class TestCheckAgainstNetwork:
         with pytest.raises(ValueError, match="single layer required"):
             check_against_network(BINOMIAL, net, [(1,), (0,)])
 
-
-class TestTableGamma:
-    def good_table(self):
-        return {
-            "entries": [
-                {"n": 0, "n_prime": 1, "histogram": [0, 1]},
-                {"n": 1, "n_prime": 1, "histogram": [0, 2]},
-            ]
-        }
-
-    def test_load_and_evaluate(self):
-        g = load_table_gamma(self.good_table())
-        assert g.name == "user"
-        assert gamma_value(g, 1, 1) == Histogram((0, 2))
-
-    def test_load_from_file(self, tmp_path):
-        import json
-
-        path = tmp_path / "gamma.json"
-        path.write_text(json.dumps(self.good_table()))
-        g = load_table_gamma(str(path))
-        assert gamma_value(g, 0, 1) == Histogram((0, 1))
-
-    def test_incomplete_coverage_rejected(self):
-        table = {"entries": [{"n": 1, "n_prime": 1, "histogram": [0, 2]}]}
-        with pytest.raises(ValueError, match="incomplete"):
-            load_table_gamma(table)
-
-    def test_monotonicity_violation_rejected(self):
-        table = {
-            "entries": [
-                {"n": 0, "n_prime": 1, "histogram": [0, 3]},
-                {"n": 1, "n_prime": 1, "histogram": [0, 2]},
-            ]
-        }
-        with pytest.raises(ValueError, match="monotonicity"):
-            load_table_gamma(table)
-
-    def test_duplicate_rejected(self):
-        table = {
-            "entries": [
-                {"n": 0, "n_prime": 1, "histogram": [0, 1]},
-                {"n": 0, "n_prime": 1, "histogram": [0, 1]},
-                {"n": 1, "n_prime": 1, "histogram": [0, 2]},
-            ]
-        }
-        with pytest.raises(ValueError, match="duplicate"):
-            load_table_gamma(table)
-
-    def test_missing_width_errors_at_use(self):
-        g = load_table_gamma(self.good_table())
-        with pytest.raises(ValueError, match="no entry"):
-            gamma_value(g, 1, 2)
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError, match="entries"):
-            load_table_gamma({"rows": []})
