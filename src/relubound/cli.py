@@ -63,6 +63,12 @@ def parse_positive_int(text: str) -> int:
     return int(text)
 
 
+def parse_nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=int, default=1000,
                    help="weight denominator (with --random)")
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=parse_nonnegative_int, default=0,
                    help="also sample this many points for a lower bound")
     p.add_argument("--box-radius", type=parse_rational,
                    default=empirical.DEFAULT_BOX_RADIUS)

@@ -1,11 +1,18 @@
-"""Dense two-phase simplex with Bland's rule in exact rational arithmetic.
+"""Two-phase simplex on a condensed tableau, in exact rational arithmetic.
 
 Solves: maximize c.z subject to A z <= b, z >= 0. All arithmetic is in
 fractions.Fraction and every comparison is against literal zero, so the
 answer is exact and Bland's rule guarantees termination.
 
-Problems here are tiny (tens of rows), so no effort is spent on sparsity
-or revised-simplex machinery.
+Variables carry labels: 0..n-1 structural, n..n+m-1 slacks and n+m the
+auxiliary x0 of phase 1. The condensed ("dictionary") tableau keeps one
+row per basic variable and one column per nonbasic variable; row i reads
+basis[i] + sum_j row[j] * nonbasic[j] = row[-1], and the objective row
+reads value + sum_j obj[j] * nonbasic[j] = obj[-1]. A pivot swaps one
+basic and one nonbasic label, so unit columns are never stored.
+
+Phase 1 relaxes every row by one x0 >= 0 (A z - x0 <= b) and minimizes
+x0: one pivot of x0 into the most negative row makes the start feasible.
 """
 
 from __future__ import annotations
@@ -24,122 +31,73 @@ def solve_max(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
     solution is a list of variable values (length of ``objective``) when
     status is "optimal", else None.
     """
-    n = len(objective)
-    m = len(rows)
+    n, m = len(objective), len(rows)
     zero = Fraction(0)
-    one = Fraction(1)
-    cost = [Fraction(c) for c in objective]
-    if m == 0:
-        if any(c > 0 for c in cost):
-            return UNBOUNDED, None, None
-        return OPTIMAL, zero, [zero] * n
+    x0 = n + m
+    # Slack n+i is basic in row i; the x0 column (index n) has -1 everywhere.
+    table = [[Fraction(a) for a in row] + [Fraction(-1), Fraction(b)]
+             for row, b in zip(rows, rhs)]
+    basis = list(range(n, n + m))
+    nonbasic = list(range(n)) + [x0]
 
-    # Columns: n structural, m slacks, artificials as needed, then rhs.
-    table: list[list] = []
-    basis: list[int] = []
-    art_cols: list[int] = []
-    for i in range(m):
-        row = [Fraction(x) for x in rows[i]] + [zero] * m + [Fraction(rhs[i])]
-        row[n + i] = one
-        if row[-1] < 0:
-            row = [-x for x in row]
-        table.append(row)
-    ncols = n + m
-    for i in range(m):
-        if table[i][n + i] == one:
-            basis.append(n + i)
-        else:
-            # The slack got negated away; park an artificial in the basis.
-            for r in range(m):
-                table[r].insert(ncols, one if r == i else zero)
-            basis.append(ncols)
-            art_cols.append(ncols)
-            ncols += 1
-
-    if art_cols:
-        phase1 = [zero] * ncols
-        for j in art_cols:
-            phase1[j] = -one
-        status, value = _run(table, basis, phase1, ncols)
-        if status != OPTIMAL or value < 0:
+    low = min(range(m), key=lambda i: table[i][-1], default=None)
+    if low is not None and table[low][-1] < 0:
+        # max -x0; after x0 enters at the most negative rhs, every rhs is >= 0.
+        obj = [zero] * n + [Fraction(1), zero]
+        _pivot(table, obj, basis, nonbasic, low, n)
+        _run(table, obj, basis, nonbasic)
+        if obj[-1] < 0:
             return INFEASIBLE, None, None
-        _evict_artificials(table, basis, set(art_cols), n + m)
-        # Every row now has a real basic variable; drop the artificial
-        # columns wholesale.
-        keep = n + m
-        for r in range(len(table)):
-            table[r] = table[r][:keep] + [table[r][-1]]
-        ncols = keep
+        if x0 in basis:
+            # x0 is basic at 0. Its row has a nonzero entry: in the original
+            # equations the slacks leave x0 free, so no row can fix it.
+            r = basis.index(x0)
+            e = next(j for j, a in enumerate(table[r][:-1]) if a != 0)
+            _pivot(table, obj, basis, nonbasic, r, e)
+    e = nonbasic.index(x0)
+    for row in table:
+        del row[e]
+    del nonbasic[e]
 
-    phase2 = cost + [zero] * (ncols - n)
-    status, value = _run(table, basis, phase2, ncols)
-    if status != OPTIMAL:
-        return status, None, None
+    # value - c.z = 0, with each basic structural variable substituted.
+    obj = [-Fraction(objective[v]) if v < n else zero for v in nonbasic] + [zero]
+    for row, v in zip(table, basis):
+        if v < n and objective[v] != 0:
+            c = Fraction(objective[v])
+            obj = [x + c * a for x, a in zip(obj, row)]
+    if _run(table, obj, basis, nonbasic) == UNBOUNDED:
+        return UNBOUNDED, None, None
     solution = [zero] * n
-    for r, bj in enumerate(basis):
-        if bj < n:
-            solution[bj] = table[r][-1]
-    return OPTIMAL, value, solution
+    for row, v in zip(table, basis):
+        if v < n:
+            solution[v] = row[-1]
+    return OPTIMAL, obj[-1], solution
 
 
-def _run(table, basis, cost, ncols):
-    """Bland-rule simplex iterations on a basic feasible tableau."""
-    m = len(table)
-    # Objective row in (z_j - c_j | z) form: start from -c and clear the
-    # basic columns by adding cost-weighted constraint rows.
-    obj = [-c for c in cost] + [Fraction(0)]
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb != 0:
-            row = table[r]
-            for j in range(ncols + 1):
-                obj[j] += cb * row[j]
+def _run(table, obj, basis, nonbasic):
+    """Bland-rule simplex iterations on a feasible tableau (every rhs >= 0)."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            return OPTIMAL, obj[-1]
-        leave = -1
-        best = None
-        for i in range(m):
-            a = table[i][enter]
-            if a > 0:
-                ratio = table[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED, None
-        _pivot(table, obj, basis, leave, enter)
+        enter = [j for j, c in enumerate(obj[:-1]) if c < 0]
+        if not enter:
+            return OPTIMAL
+        e = min(enter, key=nonbasic.__getitem__)
+        rows = [i for i, row in enumerate(table) if row[e] > 0]
+        if not rows:
+            return UNBOUNDED
+        # Min ratio; ties leave by the smallest basic label.
+        r = min(rows, key=lambda i: (table[i][-1] / table[i][e], basis[i]))
+        _pivot(table, obj, basis, nonbasic, r, e)
 
 
-def _pivot(table, obj, basis, i, j):
-    piv = table[i][j]
-    row = [x / piv for x in table[i]]
-    table[i] = row
-    for r in range(len(table)):
-        if r != i:
-            f = table[r][j]
-            if f != 0:
-                table[r] = [x - f * y for x, y in zip(table[r], row)]
-    f = obj[j]
-    if f != 0:
-        for k in range(len(obj)):
-            obj[k] -= f * row[k]
-    basis[i] = j
-
-
-def _evict_artificials(table, basis, art, real_cols):
-    """Pivot basic artificials (necessarily at value 0) onto real columns.
-
-    A basic artificial's row always has a nonzero entry in a slack column:
-    the slack block of the tableau is B^-1 times a diagonal of +-1, and no
-    row of an invertible matrix is zero. So no row is ever redundant.
-    """
-    for i in range(len(table)):
-        if basis[i] in art:
-            target = next(j for j in range(real_cols) if table[i][j] != 0)
-            _pivot(table, [Fraction(0)] * len(table[i]), basis, i, target)
+def _pivot(table, obj, basis, nonbasic, r, e):
+    """Exchange basis[r] and nonbasic[e]; eliminate column e from the other rows."""
+    row = table[r]
+    piv = row[e]
+    row[e] = Fraction(1)
+    row[:] = [x / piv for x in row]
+    for other in (*table, obj):
+        f = other[e]
+        if other is not row and f != 0:
+            other[e] = Fraction(0)
+            other[:] = [x - f * y for x, y in zip(other, row)]
+    basis[r], nonbasic[e] = nonbasic[e], basis[r]

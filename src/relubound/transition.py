@@ -25,7 +25,9 @@ class Architecture:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", tuple(self.widths))
+        if any(isinstance(d, bool) or not isinstance(d, int) for d in self.dims()):
+            raise ValueError("input dimension and layer widths must be integers")
         if self.n0 < 1:
             raise ValueError("input dimension must be at least 1")
         if not self.widths or any(w < 1 for w in self.widths):

@@ -233,6 +233,12 @@ class TestArgumentErrors:
         assert err.value.code == 2
         assert "--l-max" in capsys.readouterr().err
 
+    def test_negative_samples(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["count", "--triangle", "down", "--samples", "-1"])
+        assert err.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
     def test_missing_required(self):
         with pytest.raises(SystemExit):
             main(["bound", "--widths", "3"])

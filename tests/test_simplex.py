@@ -66,6 +66,8 @@ class TestPhaseOne:
         )
         assert status == OPTIMAL
         assert value == 3
+        # x0 ends phase 1 basic at zero here, so this pins its pivot-out.
+        assert sol == [F(3)]
 
     def test_redundant_duplicate_rows(self):
         status, value, sol = solve_max(
@@ -154,8 +156,12 @@ class TestVertexOracle:
                 cap[i] = F(1)
                 rows.append(cap)
                 rhs.append(F(5))
-            status, value, _ = solve_max(obj, rows, rhs)
+            status, value, sol = solve_max(obj, rows, rhs)
             assert (status, value) == vertex_oracle(obj, rows, rhs)
+            if status == OPTIMAL:
+                assert all(x >= 0 for x in sol)
+                assert all(sum(a * x for a, x in zip(row, sol)) <= b for row, b in zip(rows, rhs))
+                assert sum(c * x for c, x in zip(obj, sol)) == value
             statuses.add(status)
         assert statuses == {OPTIMAL, INFEASIBLE}
 
@@ -171,3 +177,8 @@ class TestDegenerate:
         status, value, sol = solve_max([F(0), F(0)], [], [])
         assert status == OPTIMAL
         assert value == 0
+
+    def test_no_constraints_unbounded_objective(self):
+        status, value, sol = solve_max([F(1)], [], [])
+        assert status == UNBOUNDED
+        assert value is None and sol is None

@@ -35,6 +35,9 @@ class TestArchitecture:
             Architecture(2, ())
         with pytest.raises(ValueError):
             Architecture(2, (3, 0))
+        for n0, widths in ((2, (3.7, 2)), (2, ("3",)), (True, (3,)), (2.5, (3,)), (2, (3, False))):
+            with pytest.raises(ValueError, match="integers"):
+                Architecture(n0, widths)
 
     def test_frozen(self):
         arch = Architecture(1, (1,))
