@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from . import bound_matrices
 from .gamma import BINOMIAL, NAIVE, ZASLAVSKY, GammaCollection
 from .histogram import leq, unit
-from .simplex import INFEASIBLE, OPTIMAL, solve_max
+from .simplex import OPTIMAL, Tableau, capped, solve_max
 from .transition import Architecture, dimension_histogram, phi
 
 Signature = tuple[int, ...]
@@ -143,47 +143,32 @@ def signature_at(net: ReluNetwork, x: Sequence) -> MultiSignature:
     return tuple(sigs)
 
 
-def _region_lp(constraints: Sequence[Constraint], box_radius: Fraction, n_vars: int):
-    """Maximize t in [0, 1] with strict rows >= t, nonstrict rows <= 0, x in the box.
-
-    Returns a witness x of the region, or None when the region is empty in
-    the box: either the LP is infeasible or its optimum is t* = 0. Variables
-    are shifted by +R to stay nonnegative.
-    """
-    radius = _frac(box_radius)
+def _root_tableau(radius: Fraction, n_vars: int) -> Tableau:
+    """The box's optimal region LP: max t over z = x + R in [0, 2R]^n_vars,
+    t in [0, 1]. Each constraint is then appended as one ``_row``."""
     if radius <= 0:
         raise ValueError("box radius must be positive")
-    d = n_vars
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for con in constraints:
-        shift = radius * sum(con.coeffs)
-        if con.strict:
-            rows.append([-a for a in con.coeffs] + [Fraction(1)])
-            rhs.append(con.offset - shift)
-        else:
-            rows.append(list(con.coeffs) + [Fraction(0)])
-            rhs.append(shift - con.offset)
-    for i in range(d):
-        row = [Fraction(0)] * (d + 1)
-        row[i] = Fraction(1)
-        rows.append(row)
-        rhs.append(2 * radius)
-    rows.append([Fraction(0)] * d + [Fraction(1)])
-    rhs.append(Fraction(1))
-    objective = [Fraction(0)] * d + [Fraction(1)]
-    status, value, sol = solve_max(objective, rows, rhs)
-    if status not in (OPTIMAL, INFEASIBLE):
-        raise RuntimeError("region feasibility solve failed")
-    if status == INFEASIBLE or value <= 0:
-        return None
-    return tuple(Fraction(sol[i]) - radius for i in range(d))
+    return capped([0] * n_vars + [1], [2 * radius] * n_vars + [1])
+
+
+def _row(con: Constraint, radius: Fraction) -> list[Fraction]:
+    """The LP row of a constraint: strict rows read coeffs.x + offset >= t."""
+    shift = radius * sum(con.coeffs)
+    if con.strict:
+        return [-a for a in con.coeffs] + [Fraction(1), con.offset - shift]
+    return [*con.coeffs, Fraction(0), shift - con.offset]
 
 
 def feasible(constraints: Sequence[Constraint], box_radius=DEFAULT_BOX_RADIUS) -> bool:
-    """True iff some x in the box satisfies all constraints (strict ones strictly)."""
+    """True iff some x in the box satisfies all constraints (strict ones
+    strictly), that is iff the region LP is feasible with t* > 0."""
+    radius = _frac(box_radius)
     n_vars = len(constraints[0].coeffs) if constraints else 1
-    return _region_lp(constraints, box_radius, n_vars) is not None
+    if any(len(con.coeffs) != n_vars for con in constraints):
+        raise ValueError("constraints differ in dimension")
+    tab = _root_tableau(radius, n_vars)
+    status, value, _ = solve_max(tab, [_row(con, radius) for con in constraints])
+    return status == OPTIMAL and value > 0
 
 
 @dataclass(frozen=True)
@@ -216,14 +201,16 @@ def _check_guard(net: ReluNetwork, allow_large: bool) -> None:
 
 def _expand_region(
     region: RegionRecord,
+    tableau: Tableau,
     layer: ReluLayer,
-    box_radius: Fraction,
+    radius: Fraction,
     n0: int,
-) -> list[RegionRecord]:
-    """All feasible extensions of one region by one layer.
+) -> list[tuple[RegionRecord, Tableau]]:
+    """All feasible extensions of one region by one layer, each with its LP.
 
-    Walks the units depth-first, appending each unit's halfspace before
-    descending so infeasible bit prefixes are pruned early.
+    Walks the units depth-first. A child's LP is a copy of its parent's
+    optimal ``tableau`` plus the child's halfspace row, so infeasible bit
+    prefixes are pruned early and no LP is rebuilt from scratch.
     """
     funcs = []
     for w_row, b in zip(layer.weights, layer.biases):
@@ -233,11 +220,11 @@ def _expand_region(
         )
         offset = sum(w * c for w, c in zip(w_row, region.offset)) + b
         funcs.append((coeffs, offset))
-    out: list[RegionRecord] = []
+    out: list[tuple[RegionRecord, Tableau]] = []
     width = layer.out_dim
 
     def descend(
-        i: int, bits: tuple[int, ...], cons: tuple[Constraint, ...], witness: Vector
+        i: int, bits: tuple[int, ...], cons: tuple[Constraint, ...], tab: Tableau, z: list
     ) -> None:
         if i == width:
             new_linear = tuple(
@@ -247,26 +234,26 @@ def _expand_region(
             new_offset = tuple(
                 funcs[k][1] if bit else Fraction(0) for k, bit in enumerate(bits)
             )
-            out.append(
-                RegionRecord(
-                    prefix=region.prefix + (bits,),
-                    linear=new_linear,
-                    offset=new_offset,
-                    constraints=cons,
-                    witness=witness,
-                )
+            record = RegionRecord(
+                prefix=region.prefix + (bits,),
+                linear=new_linear,
+                offset=new_offset,
+                constraints=cons,
+                witness=tuple(v - radius for v in z[:n0]),
             )
+            out.append((record, tab))
             return
         coeffs, offset = funcs[i]
         for bit in (0, 1):
-            child = cons + (Constraint(coeffs, offset, strict=bool(bit)),)
-            child_witness = _region_lp(child, box_radius, n0)
-            if child_witness is not None:
-                descend(i + 1, bits + (bit,), child, child_witness)
+            con = Constraint(coeffs, offset, strict=bool(bit))
+            child = tab.copy()
+            status, value, solution = solve_max(child, [_row(con, radius)])
+            if status == OPTIMAL and value > 0:
+                descend(i + 1, bits + (bit,), cons + (con,), child, solution)
 
     # No solve at the root: the previous layer's leaf LP (or, for the input
     # region, the box itself) already proved the region's constraints feasible.
-    descend(0, (), region.constraints, region.witness)
+    descend(0, (), region.constraints, tableau, [])
     return out
 
 
@@ -291,14 +278,14 @@ def enumerate_regions(
         constraints=(),
         witness=tuple(Fraction(0) for _ in range(n0)),
     )
-    regions = [root]
+    # Each region travels with its optimal LP; the records returned do not.
+    regions = [(root, _root_tableau(radius, n0))]
     layer_sets: list[frozenset[MultiSignature]] = []
     for layer in net.layers:
-        regions = [
-            rec for r in regions for rec in _expand_region(r, layer, radius, n0)
-        ]
-        layer_sets.append(frozenset(r.prefix for r in regions))
-    return EnumerationResult(tuple(layer_sets), tuple(regions))
+        regions = [pair for r, tab in regions
+                   for pair in _expand_region(r, tab, layer, radius, n0)]
+        layer_sets.append(frozenset(r.prefix for r, _ in regions))
+    return EnumerationResult(tuple(layer_sets), tuple(r for r, _ in regions))
 
 
 def sample_count(

@@ -239,6 +239,10 @@ class TestArgumentErrors:
         assert err.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    def test_zero_box_radius(self, capsys):
+        assert main(["count", "--triangle", "down", "--box-radius", "0"]) == 1
+        assert "error: box radius must be positive" in capsys.readouterr().err
+
     def test_missing_required(self):
         with pytest.raises(SystemExit):
             main(["bound", "--widths", "3"])

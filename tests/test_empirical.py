@@ -1,6 +1,8 @@
 """Exact region enumeration: signatures, LPs, counts, verification."""
 
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from relubound import (
     triangle_network,
     verify_network,
 )
-from relubound import empirical
+from relubound import empirical, simplex
 from relubound.empirical import network_from_dict, network_to_dict
 from relubound.fixtures import (
     TRIANGLE_REGION_COUNT,
@@ -118,6 +120,11 @@ class TestFeasible:
         with pytest.raises(ValueError):
             feasible([], F(0))
 
+    def test_constraints_of_different_dimensions(self):
+        mixed = [Constraint((1,), 0, True), Constraint((1, 1), 0, False)]
+        with pytest.raises(ValueError, match="dimension"):
+            feasible(mixed, 10)
+
     def test_strict_zero_row_is_empty(self):
         # 0 > 0: the LP is feasible but its optimum is t* = 0
         assert not feasible([Constraint((F(0),), F(0), strict=True)], BOX10)
@@ -201,17 +208,63 @@ class TestEnumeration:
         assert first <= {p[0] for p in res.prefixes_per_layer[0]}
 
     def test_no_constraint_system_solved_twice(self, monkeypatch):
+        """One warm-started LP per child, each called from _expand_region,
+        and a child whose row holds at its parent's optimum costs no pivot."""
         solved = []
-        region_lp = empirical._region_lp
+        pivots = []
+        cost = []
+        solve_max, pivot = empirical.solve_max, simplex._pivot
 
-        def recording(constraints, box_radius, n_vars):
-            solved.append(tuple(constraints))
-            return region_lp(constraints, box_radius, n_vars)
+        def counting_pivot(*args):
+            pivots.append(args)
+            return pivot(*args)
 
-        monkeypatch.setattr(empirical, "_region_lp", recording)
+        def recording(tab, rows):
+            callers = []
+            frame = sys._getframe(1)
+            while frame is not None:
+                callers.append(frame.f_code)
+                frame = frame.f_back
+            assert empirical._expand_region.__code__ in callers
+            # The LP as it comes in: the parent's tableau plus the appended rows.
+            solved.append((tuple(tab.basis), tuple(map(tuple, tab.table)),
+                           tuple(map(tuple, rows))))
+            z = tab.point()
+            holds = all(sum(a * v for a, v in zip(row, z)) <= row[-1] for row in rows)
+            before = len(pivots)
+            result = solve_max(tab, rows)
+            cost.append((holds, len(pivots) - before))
+            return result
+
+        monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+        monkeypatch.setattr(empirical, "solve_max", recording)
         enumerate_regions(random_network(Architecture(2, (3, 2)), 4), F(10))
         assert len(solved) == len(set(solved))
         assert len(solved) == 48
+        assert all(n == 0 for holds, n in cost if holds)
+        assert {holds for holds, _ in cost} == {True, False}
+
+
+class TestWitnesses:
+    def test_witnesses_on_degenerate_networks(self):
+        """Every record's witness lies in the box and realizes its prefix."""
+        rng = random.Random(11)
+        for _ in range(40):
+            n0 = rng.randint(1, 3)
+            scale = rng.choice((1, 1000))
+            layers, fan_in = [], n0
+            for width in [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]:
+                weights = [[rng.randint(-2, 2) for _ in range(fan_in)] for _ in range(width)]
+                biases = [scale * rng.randint(-2, 2) for _ in range(width)]
+                layers.append(ReluLayer(weights, biases))
+                fan_in = width
+            net = ReluNetwork(n0, tuple(layers))
+            for box in (F(10), F(10 ** 6)):
+                records = enumerate_regions(net, box).records
+                assert records
+                for r in records:
+                    assert signature_at(net, r.witness) == r.prefix
+                    assert all(-box <= x <= box for x in r.witness)
 
 
 class TestSampling:

@@ -1,94 +1,111 @@
-"""The exact LP solver used for region feasibility."""
+"""The exact LP solver used for region feasibility.
+
+Every LP here starts from ``capped`` (the variables' upper bounds) and
+gets its rows through ``solve_max``, the warm-started dual simplex.
+"""
 
 import itertools
 import random
 from fractions import Fraction
 
-from relubound.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_max
+import pytest
+
+from relubound import simplex
+from relubound.simplex import INFEASIBLE, OPTIMAL, capped, solve_max
 
 F = Fraction
+CAP = F(100)
 
 
 def frows(data):
     return [[F(x) for x in row] for row in data]
 
 
+def solve(objective, rows, rhs, cap=CAP):
+    """max c.z s.t. rows.z <= rhs, 0 <= z <= cap, rows appended to the capped start."""
+    tab = capped(objective, [cap] * len(objective))
+    return solve_max(tab, [list(row) + [b] for row, b in zip(rows, rhs)])
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """A list that gains one entry per simplex pivot."""
+    calls = []
+    pivot = simplex._pivot
+
+    def counting(*args):
+        calls.append(args[1:])
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    return calls
+
+
 class TestBasicSolves:
     def test_simple_optimum(self):
         # max x+y st x<=3, y<=1
-        status, value, sol = solve_max(
-            [F(1), F(1)], frows([[1, 0], [0, 1]]), [F(3), F(1)]
-        )
+        status, value, sol = solve([F(1), F(1)], frows([[1, 0], [0, 1]]), [F(3), F(1)])
         assert status == OPTIMAL
         assert value == 4
         assert sol == [F(3), F(1)]
 
     def test_shared_resource(self):
         # max 3x+2y st x+y<=4, x<=2
-        status, value, sol = solve_max(
-            [F(3), F(2)], frows([[1, 1], [1, 0]]), [F(4), F(2)]
-        )
+        status, value, sol = solve([F(3), F(2)], frows([[1, 1], [1, 0]]), [F(4), F(2)])
         assert status == OPTIMAL
         assert value == 10
         assert sol == [F(2), F(2)]
 
     def test_unbounded(self):
-        status, value, sol = solve_max([F(1)], frows([[-1]]), [F(0)])
-        assert status == UNBOUNDED
+        # max x st -x <= 0 is unbounded on its own; the start's cap bounds it.
+        status, value, sol = solve([F(1)], frows([[-1]]), [F(0)])
+        assert (status, value, sol) == (OPTIMAL, CAP, [CAP])
 
     def test_infeasible(self):
         # x <= -1 with x >= 0 implicit
-        status, value, sol = solve_max([F(1)], frows([[1]]), [F(-1)])
-        assert status == INFEASIBLE
+        status, value, sol = solve([F(1)], frows([[1]]), [F(-1)])
+        assert (status, value, sol) == (INFEASIBLE, None, None)
 
     def test_fractional_data(self):
         # max x/3 st (2/7)x <= 3/5
-        status, value, sol = solve_max(
-            [F(1, 3)], frows([[F(2, 7)]]), [F(3, 5)]
-        )
+        status, value, sol = solve([F(1, 3)], frows([[F(2, 7)]]), [F(3, 5)])
         assert status == OPTIMAL
         assert value == F(7, 10)
         assert sol == [F(21, 10)]
 
 
 class TestPhaseOne:
+    """LPs whose origin is infeasible: a cold solver needs phase 1 for
+    them, the warm start reaches them by dual simplex pivots."""
+
     def test_lower_bound_via_negative_rhs(self):
         # max -x st x >= 2, encoded as -x <= -2
-        status, value, sol = solve_max([F(-1)], frows([[-1]]), [F(-2)])
+        status, value, sol = solve([F(-1)], frows([[-1]]), [F(-2)])
         assert status == OPTIMAL
         assert value == -2
         assert sol == [F(2)]
 
     def test_equality_pair(self):
         # x >= 3 and x <= 3 pin x
-        status, value, sol = solve_max(
-            [F(1)], frows([[-1], [1]]), [F(-3), F(3)]
-        )
+        status, value, sol = solve([F(1)], frows([[-1], [1]]), [F(-3), F(3)])
         assert status == OPTIMAL
         assert value == 3
-        # x0 ends phase 1 basic at zero here, so this pins its pivot-out.
         assert sol == [F(3)]
 
     def test_redundant_duplicate_rows(self):
-        status, value, sol = solve_max(
-            [F(-1)], frows([[-1], [-1]]), [F(-1), F(-1)]
-        )
+        status, value, sol = solve([F(-1)], frows([[-1], [-1]]), [F(-1), F(-1)])
         assert status == OPTIMAL
         assert value == -1
 
     def test_two_variable_target(self):
         # max -(x+y) st x+y >= 2
-        status, value, sol = solve_max(
-            [F(-1), F(-1)], frows([[-1, -1]]), [F(-2)]
-        )
+        status, value, sol = solve([F(-1), F(-1)], frows([[-1, -1]]), [F(-2)])
         assert status == OPTIMAL
         assert value == -2
 
     def test_contradictory_pair(self):
         # x >= 2 and x <= 1
-        status, value, sol = solve_max(
-            [F(0)], frows([[-1], [1]]), [F(-2), F(1)]
-        )
+        status, value, sol = solve([F(0)], frows([[-1], [1]]), [F(-2), F(1)])
         assert status == INFEASIBLE
 
 
@@ -134,6 +151,30 @@ def solve_square(a, b):
     return [m[r][n] for r in range(n)]
 
 
+class AppendChecker:
+    """One capped LP that gains rows one call at a time, each result checked
+    against the vertex oracle over the caps and every row so far."""
+
+    def __init__(self, objective, cap):
+        self.objective = objective
+        n = len(objective)
+        self.rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        self.rhs = [cap] * n
+        self.tab = capped(objective, self.rhs)
+
+    def append(self, row, b):
+        self.rows.append(list(row))
+        self.rhs.append(b)
+        status, value, sol = solve_max(self.tab, [list(row) + [b]])
+        assert (status, value) == vertex_oracle(self.objective, self.rows, self.rhs)
+        if status == OPTIMAL:
+            assert all(x >= 0 for x in sol)
+            for a, bound in zip(self.rows, self.rhs):
+                assert sum(c * x for c, x in zip(a, sol)) <= bound
+            assert sum(c * x for c, x in zip(self.objective, sol)) == value
+        return status, value, sol
+
+
 class TestVertexOracle:
     def test_oracle_on_known_optimum(self):
         assert vertex_oracle([F(3), F(2)], frows([[1, 1], [1, 0]]), [F(4), F(2)]) == (
@@ -142,43 +183,81 @@ class TestVertexOracle:
         )
         assert vertex_oracle([F(1)], frows([[1]]), [F(-1)]) == (INFEASIBLE, None)
 
-    def test_random_capped_lps(self):
+    def test_random_capped_lps(self, pivots):
         rng = random.Random(0)
         statuses = set()
+        costs = set()
         for _ in range(60):
-            n, m = rng.randint(1, 3), rng.randint(1, 4)
-            obj = [F(rng.randint(-3, 3)) for _ in range(n)]
-            rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-            rhs = [F(rng.randint(-2, 4)) for _ in range(m)]
-            # cap all variables so nothing is unbounded
-            for i in range(n):
-                cap = [F(0)] * n
-                cap[i] = F(1)
-                rows.append(cap)
-                rhs.append(F(5))
-            status, value, sol = solve_max(obj, rows, rhs)
-            assert (status, value) == vertex_oracle(obj, rows, rhs)
-            if status == OPTIMAL:
-                assert all(x >= 0 for x in sol)
-                assert all(sum(a * x for a, x in zip(row, sol)) <= b for row, b in zip(rows, rhs))
-                assert sum(c * x for c, x in zip(obj, sol)) == value
-            statuses.add(status)
+            n, m = rng.randint(1, 3), rng.randint(1, 5)
+            lp = AppendChecker([F(rng.randint(-3, 3)) for _ in range(n)], F(5))
+            for _ in range(m):
+                row = [F(rng.randint(-3, 3)) for _ in range(n)]
+                before = len(pivots)
+                status, _, _ = lp.append(row, F(rng.randint(-2, 4)))
+                statuses.add(status)
+                costs.add(min(len(pivots) - before, 2))
+                if status == INFEASIBLE:
+                    break
         assert statuses == {OPTIMAL, INFEASIBLE}
+        # Appends that kept the optimum, took one dual pivot and took more.
+        assert costs == {0, 1, 2}
+
+
+class TestAppendedRows:
+    def test_duplicate_row_costs_no_pivot(self, pivots):
+        lp = AppendChecker([F(1), F(1)], F(5))
+        assert lp.append([F(1), F(1)], F(3))[:2] == (OPTIMAL, 3)
+        before = len(pivots)
+        assert lp.append([F(1), F(1)], F(3))[:2] == (OPTIMAL, 3)
+        assert len(pivots) == before
+
+    def test_parallel_rows(self, pivots):
+        lp = AppendChecker([F(1), F(2)], F(5))
+        assert lp.append([F(1), F(1)], F(4))[:2] == (OPTIMAL, 8)
+        # Tighter parallel row: the optimum moves.
+        assert lp.append([F(2), F(2)], F(6))[:2] == (OPTIMAL, 6)
+        before = len(pivots)
+        # Looser parallel row: it holds at the optimum.
+        assert lp.append([F(3), F(3)], F(12))[:2] == (OPTIMAL, 6)
+        assert len(pivots) == before
+
+    def test_opposite_rows_pin_a_face(self):
+        lp = AppendChecker([F(1), F(-1)], F(5))
+        assert lp.append([F(1), F(-1)], F(2))[:2] == (OPTIMAL, 2)
+        assert lp.append([F(-1), F(1)], F(-2))[:2] == (OPTIMAL, 2)
+        assert lp.append([F(0), F(-1)], F(-1))[:2] == (OPTIMAL, 2)
+        assert lp.append([F(-1), F(1)], F(-3))[0] == INFEASIBLE
+
+    def test_all_zero_rows(self, pivots):
+        lp = AppendChecker([F(1), F(1)], F(5))
+        assert lp.append([F(0), F(0)], F(0))[:2] == (OPTIMAL, 10)
+        assert lp.append([F(0), F(0)], F(1))[:2] == (OPTIMAL, 10)
+        assert pivots == [(0, 0), (1, 1)]  # only the start's own pivots
+        assert lp.append([F(0), F(0)], F(-1))[0] == INFEASIBLE
+
+    def test_rows_at_once_equal_rows_one_by_one(self):
+        rows = frows([[1, 2], [-1, 1], [2, -1]])
+        rhs = [F(6), F(-1), F(3)]
+        one_by_one = capped([F(1), F(1)], [F(5), F(5)])
+        for row, b in zip(rows, rhs):
+            result = solve_max(one_by_one, [row + [b]])
+        assert solve([F(1), F(1)], rows, rhs, cap=F(5)) == result
 
 
 class TestDegenerate:
     def test_zero_objective(self):
-        status, value, sol = solve_max([F(0)], frows([[1]]), [F(1)])
+        status, value, sol = solve([F(0)], frows([[1]]), [F(1)])
         assert status == OPTIMAL
         assert value == 0
 
     def test_no_constraints_bounded_objective(self):
         # max 0 with no rows: trivially optimal at the origin
-        status, value, sol = solve_max([F(0), F(0)], [], [])
-        assert status == OPTIMAL
-        assert value == 0
+        status, value, sol = solve([F(0), F(0)], [], [])
+        assert (status, value, sol) == (OPTIMAL, 0, [0, 0])
 
-    def test_no_constraints_unbounded_objective(self):
-        status, value, sol = solve_max([F(1)], [], [])
-        assert status == UNBOUNDED
-        assert value is None and sol is None
+    def test_no_constraints_unbounded_objective(self, pivots):
+        # max x - y with no rows: the start puts x at its cap in one pivot.
+        tab = capped([F(1), F(-1)], [F(5), F(7)])
+        assert len(pivots) == 1
+        assert solve_max(tab, []) == (OPTIMAL, 5, [5, 0])
+        assert len(pivots) == 1
