@@ -2,11 +2,11 @@
 
 The matrix path evaluates the same layer-by-layer bound as the histogram
 path: columns of a bound matrix are clipped collection values, connector
-matrices adapt vector length between widths, and the bound is the l1 norm
-of the matrices' action on a basis vector. The closed-form bounds from the
-literature (naive product, per-layer binomial-sum product, the recursive
-double sum, a Stirling weakening, and a constructive lower bound) are
-implemented next to it for comparison.
+matrices M fold indices above a width onto it, and the bound is the l1
+norm of one column of the product B_{nL} M ... B_{n1} M. The closed-form
+bounds from the literature (naive product, per-layer binomial-sum
+product, the recursive double sum, a Stirling weakening, and a
+constructive lower bound) are implemented next to it for comparison.
 """
 
 from __future__ import annotations
@@ -47,11 +47,8 @@ def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
     if n_prime < 1:
         raise ValueError("dimension out of range")
     size = n_prime + 1
-    cols = [phi(g, n_prime, unit(j)) for j in range(size)]
-    rows = tuple(
-        tuple(cols[j].entry(i) for j in range(size)) for i in range(size)
-    )
-    return BoundMatrix(n_prime, rows)
+    cols = [(phi(g, n_prime, unit(j)).counts + (0,) * size)[:size] for j in range(size)]
+    return BoundMatrix(n_prime, tuple(zip(*cols)))
 
 
 def build_connector(n: int, n_prime: int) -> ConnectorMatrix:
@@ -64,33 +61,24 @@ def build_connector(n: int, n_prime: int) -> ConnectorMatrix:
     return ConnectorMatrix(n, n_prime, rows)
 
 
-def _connect(vec: list[int], n_prime: int) -> list[int]:
-    # Action of the connector matrix without materializing it.
-    out = [0] * (n_prime + 1)
-    for j, val in enumerate(vec):
-        if val:
-            out[min(j, n_prime)] += val
-    return out
-
-
-def _apply(rows: Sequence[Row], vec: Sequence[int]) -> list[int]:
-    return [sum(r[j] * vec[j] for j in range(len(vec)) if vec[j]) for r in rows]
-
-
 def evaluate_bound(g: GammaCollection, arch: Architecture) -> int:
     """l1 norm of B_{nL} M ... B_{n1} M applied to the basis vector e_{n0+1}.
 
-    Computed right to left as matrix-vector actions; full matrix products
-    are never formed.
+    B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer adds, for
+    every nonzero entry j of the vector, that many copies of the column;
+    neither connectors nor matrix products are formed.
     """
-    vec = [0] * (arch.n0 + 1)
-    vec[arch.n0] = 1
-    cache: dict[int, BoundMatrix] = {}
+    vec = [0] * arch.n0 + [1]
+    cache: dict[int, list[Row]] = {}
     for width in arch.widths:
-        vec = _connect(vec, width)
         if width not in cache:
-            cache[width] = build_bound_matrix(g, width)
-        vec = _apply(cache[width].rows, vec)
+            cache[width] = list(zip(*build_bound_matrix(g, width).rows))
+        cols = cache[width]
+        out = [0] * (width + 1)
+        for j, count in enumerate(vec):
+            if count:
+                out = [o + count * x for o, x in zip(out, cols[min(j, width)])]
+        vec = out
     return sum(vec)
 
 

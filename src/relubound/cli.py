@@ -243,10 +243,8 @@ def cmd_count(args) -> int:
             raise ValueError("--random needs --n0 and --widths")
         arch = Architecture(args.n0, args.widths)
         net = empirical.random_network(arch, args.seed, args.scale)
-    elif args.triangle:
+    else:  # argparse requires exactly one of the three sources
         net = fixtures.triangle_network(third_unit_up=args.triangle == "up")
-    else:
-        raise ValueError("give --network FILE, --random, or --triangle")
     report = empirical.verify_network(
         net, args.box_radius, allow_large=args.allow_large
     )

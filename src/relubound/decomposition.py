@@ -23,9 +23,8 @@ from typing import Sequence
 from .bound_matrices import build_bound_matrix
 from .gamma import BINOMIAL
 
-FracRow = tuple[Fraction, ...]
-FracMatrix = tuple[FracRow, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+FracMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -34,17 +33,17 @@ class JordanLikeDecomposition:
 
     xi[j-1] holds xi_j = sum_{i<j} C(n-1, i) for j = 1..ceil(n/2); P and
     P_inv are upper triangular; J is diagonal plus one antidiagonal of
-    units. All entries are exact rationals (P_inv is the only matrix with
-    non-integer entries).
+    units. C, P and J are integer by construction; P_inv, the only matrix
+    with non-integer entries, holds exact rationals.
     """
 
     n: int
     parity: str  # "even" or "odd"
     xi: tuple[int, ...]
-    P: FracMatrix
-    J: FracMatrix
+    P: IntMatrix
+    J: IntMatrix
     P_inv: FracMatrix
-    C: FracMatrix
+    C: IntMatrix
 
 
 def _xi_values(size: int) -> tuple[int, ...]:
@@ -55,36 +54,36 @@ def _xi_values(size: int) -> tuple[int, ...]:
     )
 
 
-def _build_C(size: int, xi: Sequence[int]) -> FracMatrix:
+def _build_C(size: int, xi: Sequence[int]) -> IntMatrix:
     x = (0,) + tuple(xi)  # 1-indexed with x[0] = 0 so first differences work
     m = size // 2
     rows = []
     for i in range(1, size + 1):
-        row = [Fraction(0)] * size
+        row = [0] * size
         if i <= m:
-            row[i - 1] = Fraction(x[i])
+            row[i - 1] = x[i]
             for j in range(size + 1 - i, size + 1):
-                row[j - 1] = Fraction(x[i] - x[i - 1])
+                row[j - 1] = x[i] - x[i - 1]
         else:
-            row[i - 1] = Fraction(x[size + 1 - i])
+            row[i - 1] = x[size + 1 - i]
             for j in range(i + 1, size + 1):
-                row[j - 1] = Fraction(x[size + 1 - i] - x[size - i])
+                row[j - 1] = x[size + 1 - i] - x[size - i]
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _build_P(size: int, xi: Sequence[int]) -> FracMatrix:
+def _build_P(size: int, xi: Sequence[int]) -> IntMatrix:
     x = (0,) + tuple(xi)
     m = size // 2
     rows = []
     for i in range(1, size + 1):
-        row = [Fraction(0)] * size
+        row = [0] * size
         if i <= m:
-            row[i - 1] = Fraction(x[i] - x[i - 1])
+            row[i - 1] = x[i] - x[i - 1]
         else:
-            row[i - 1] = Fraction(1)
+            row[i - 1] = 1
             if i < size:
-                row[i] = Fraction(-1)
+                row[i] = -1
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -104,27 +103,30 @@ def _build_P_inv(size: int, xi: Sequence[int]) -> FracMatrix:
     return tuple(rows)
 
 
-def _build_J_power(size: int, xi: Sequence[int], l: int) -> FracMatrix:
+def _build_J_power(size: int, xi: Sequence[int], l: int) -> IntMatrix:
     x = (0,) + tuple(xi)
     rows = []
     for i in range(1, size + 1):
-        row = [Fraction(0)] * size
-        row[i - 1] = Fraction(x[min(i, size + 1 - i)] ** l)
+        row = [0] * size
+        row[i - 1] = x[min(i, size + 1 - i)] ** l
         if i <= size // 2:
             # The antidiagonal unit couples two equal diagonal entries, so
             # the l-th power carries the usual l * lambda^(l-1) term.
-            row[size - i] = Fraction(l * x[i] ** (l - 1))
+            row[size - i] = l * x[i] ** (l - 1)
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _matmul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    size = len(b)
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(cols))
-        for i in range(len(a))
-    )
+def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
+    """Exact product a b; each row is a sum over the nonzero entries of a's row."""
+    out = []
+    for a_row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(a_row):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b[k])]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def build_decomposition(n: int) -> JordanLikeDecomposition:
@@ -147,16 +149,10 @@ def verify_B_equals_C(n: int) -> bool:
     """True iff the width-n binomial bound matrix equals the size-(n+1) C."""
     if n < 1:
         raise ValueError("dimension out of range")
-    b = build_bound_matrix(BINOMIAL, n).rows
-    c = build_decomposition(n + 1).C
-    return all(
-        Fraction(b[i][j]) == c[i][j]
-        for i in range(n + 1)
-        for j in range(n + 1)
-    )
+    return build_bound_matrix(BINOMIAL, n).rows == build_decomposition(n + 1).C
 
 
-def power_J(n: int, l: int) -> FracMatrix:
+def power_J(n: int, l: int) -> IntMatrix:
     """Closed-form l-th power of the size-n J template."""
     if n < 1 or l < 1:
         raise ValueError("dimension out of range")
@@ -173,15 +169,9 @@ def power_B(n: int, l: int) -> IntMatrix:
         raise ValueError("dimension out of range")
     dec = build_decomposition(n + 1)
     prod = _matmul(_matmul(dec.P, _build_J_power(dec.n, dec.xi, l)), dec.P_inv)
-    rows = []
-    for row in prod:
-        out = []
-        for entry in row:
-            if entry.denominator != 1:
-                raise RuntimeError("decomposition inconsistency")
-            out.append(int(entry))
-        rows.append(tuple(out))
-    return tuple(rows)
+    if any(entry.denominator != 1 for row in prod for entry in row):
+        raise RuntimeError("decomposition inconsistency")
+    return tuple(tuple(int(entry) for entry in row) for row in prod)
 
 
 def closed_form_norm(n: int, i: int, l: int) -> int:

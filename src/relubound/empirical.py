@@ -86,9 +86,9 @@ class ReluNetwork:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.n0 < 1 or not self.layers:
-            raise ValueError("network needs an input dimension and a layer")
-        expect = self.n0
+        if not self.layers:
+            raise ValueError("network needs at least one layer")
+        expect = self.architecture.n0  # building the Architecture validates n0
         for layer in self.layers:
             if layer.in_dim != expect:
                 raise ValueError("layer input dimension mismatch")
@@ -114,15 +114,14 @@ class RegionRecord:
     """One attained signature prefix with its restriction data.
 
     ``linear``/``offset`` give the affine map the truncated network
-    computes on this region; ``constraints`` are the accumulated halfspace
-    conditions in input space; ``witness`` is a point of the region inside
-    the box (from the feasibility LP).
+    computes on this region; ``witness`` is a point of the region inside
+    the box (from the feasibility LP). The region's halfspace conditions
+    live only in the LP tableau that travels with it during enumeration.
     """
 
     prefix: MultiSignature
     linear: Matrix
     offset: Vector
-    constraints: tuple[Constraint, ...]
     witness: Vector
 
 
@@ -223,9 +222,7 @@ def _expand_region(
     out: list[tuple[RegionRecord, Tableau]] = []
     width = layer.out_dim
 
-    def descend(
-        i: int, bits: tuple[int, ...], cons: tuple[Constraint, ...], tab: Tableau, z: list
-    ) -> None:
+    def descend(i: int, bits: tuple[int, ...], tab: Tableau) -> None:
         if i == width:
             new_linear = tuple(
                 funcs[k][0] if bit else tuple(Fraction(0) for _ in range(n0))
@@ -238,22 +235,21 @@ def _expand_region(
                 prefix=region.prefix + (bits,),
                 linear=new_linear,
                 offset=new_offset,
-                constraints=cons,
-                witness=tuple(v - radius for v in z[:n0]),
+                witness=tuple(v - radius for v in tab.point()[:n0]),
             )
             out.append((record, tab))
             return
         coeffs, offset = funcs[i]
         for bit in (0, 1):
-            con = Constraint(coeffs, offset, strict=bool(bit))
+            row = _row(Constraint(coeffs, offset, strict=bool(bit)), radius)
             child = tab.copy()
-            status, value, solution = solve_max(child, [_row(con, radius)])
+            status, value, _ = solve_max(child, [row])
             if status == OPTIMAL and value > 0:
-                descend(i + 1, bits + (bit,), cons + (con,), child, solution)
+                descend(i + 1, bits + (bit,), child)
 
     # No solve at the root: the previous layer's leaf LP (or, for the input
     # region, the box itself) already proved the region's constraints feasible.
-    descend(0, (), region.constraints, tableau, [])
+    descend(0, (), tableau)
     return out
 
 
@@ -275,7 +271,6 @@ def enumerate_regions(
         prefix=(),
         linear=identity,
         offset=tuple(Fraction(0) for _ in range(n0)),
-        constraints=(),
         witness=tuple(Fraction(0) for _ in range(n0)),
     )
     # Each region travels with its optimal LP; the records returned do not.
@@ -434,8 +429,6 @@ def network_from_dict(data: Mapping) -> ReluNetwork:
     for key in ("n0", "layers"):
         if key not in data:
             raise ValueError(f"network JSON lacks {key!r}")
-    if isinstance(data["n0"], bool) or not isinstance(data["n0"], int):
-        raise ValueError("network 'n0' must be an integer")
     if not isinstance(data["layers"], list):
         raise ValueError("network 'layers' must be a list")
     layers = []

@@ -23,8 +23,10 @@ class Histogram:
     counts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.counts)
-        if any(x < 0 for x in c):
+        c = tuple(self.counts)
+        if not all(type(x) is int for x in c):  # bool is not a count
+            raise ValueError("counts must be integers")
+        if c and min(c) < 0:
             raise ValueError("negative count")
         while c and c[-1] == 0:
             c = c[:-1]

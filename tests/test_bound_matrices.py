@@ -12,6 +12,7 @@ from relubound import (
     Architecture,
     build_bound_matrix,
     build_connector,
+    closed_form_norm,
     compose_bound_histogram,
     evaluate_bound,
     l1_norm,
@@ -24,6 +25,11 @@ from relubound import (
     width_increases_somewhere,
 )
 from relubound.bound_matrices import format_matrix, matrix_to_json
+
+# Widths 16..128 in shuffled order with repeats: against n0 = 40 the clamp
+# both merges indices (a layer narrower than the vector's support) and pads
+# them (a wider layer), and the repeated widths reuse a cached matrix.
+WIDE_MIXED = Architecture(40, (48, 16, 128, 64, 16, 96, 128, 24, 64, 112, 40, 24))
 
 B2 = ((1, 0, 1), (0, 3, 2), (0, 0, 1))
 B3 = ((1, 0, 0, 1), (0, 4, 3, 3), (0, 0, 4, 3), (0, 0, 0, 1))
@@ -89,14 +95,22 @@ class TestEvaluateBound:
 
     def test_matches_histogram_path(self):
         rng = random.Random(11)
+        archs = []
         for _ in range(40):
             n0 = rng.randint(1, 5)
             widths = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
-            arch = Architecture(n0, widths)
+            archs.append(Architecture(n0, widths))
+        archs.append(WIDE_MIXED)
+        for arch in archs:
             for g in (NAIVE, ZASLAVSKY, BINOMIAL):
                 assert evaluate_bound(g, arch) == l1_norm(
                     compose_bound_histogram(g, arch)
                 )
+
+    @pytest.mark.parametrize("n0,L", [(4, 10), (32, 6), (40, 10), (100, 5)])
+    def test_equal_width_matches_closed_form(self, n0, L):
+        arch = Architecture(n0, (64,) * L)
+        assert evaluate_bound(BINOMIAL, arch) == closed_form_norm(64, min(n0, 64), L)
 
     def test_deep_narrow_collapse(self):
         # a width-1 layer caps everything after it

@@ -56,6 +56,12 @@ class TestNetworkTypes:
             ReluNetwork(1, (layer,))
         with pytest.raises(ValueError):
             ReluNetwork(0, (layer,))
+        one_in = ReluLayer(((F(1),),), (F(0),))
+        for bad_n0 in (True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="must be integers"):
+                ReluNetwork(bad_n0, (one_in,))
+        with pytest.raises(ValueError, match="at least one layer"):
+            ReluNetwork(1, ())
 
     def test_architecture_property(self):
         net = triangle_network()

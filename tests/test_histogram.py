@@ -31,6 +31,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Histogram((1, -1))
 
+    @pytest.mark.parametrize("bad", [2.7, 3.0, "3", True, False, None])
+    def test_non_integer_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            Histogram((bad, 1))
+
     def test_unit_vector(self):
         assert unit(3).to_list() == [0, 0, 0, 1]
         assert unit(0).to_list() == [1]
