@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .gamma import GammaCollection
 from .histogram import unit
@@ -158,18 +157,3 @@ def narrow_layer_somewhere(arch: Architecture) -> bool:
             return True
     return False
 
-
-def format_matrix(rows: Sequence[Sequence[object]]) -> str:
-    """Right-aligned grid of the entries' str() forms, one row per line."""
-    cells = [[str(x) for x in row] for row in rows]
-    if not cells:
-        return ""
-    widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
-    )
-
-
-def matrix_to_json(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row-major nested lists, entries as exact ints."""
-    return [list(row) for row in rows]

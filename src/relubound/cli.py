@@ -12,6 +12,7 @@ has. Identical flags and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -21,8 +22,6 @@ from . import decomposition, empirical, fixtures
 from .bound_matrices import (
     build_bound_matrix,
     evaluate_bound,
-    format_matrix,
-    matrix_to_json,
     montufar_bound,
     montufar_lower_bound,
     naive_bound,
@@ -57,16 +56,18 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad integer list: {text!r}")
 
 
-def parse_positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return int(text)
+def int_at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}: {text!r}")
 
-def parse_nonnegative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
-    return int(text)
+    return parse
 
 
 def parse_rational(text: str) -> Fraction:
@@ -78,6 +79,33 @@ def parse_rational(text: str) -> Fraction:
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def format_matrix(rows) -> str:
+    """Right-aligned grid of the entries' str() forms, one row per line."""
+    cells = [[str(x) for x in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
+    )
+
+
+def _emit_rows(fmt: str, rows: list[dict]) -> None:
+    """Records sharing one key order: an aligned grid, CSV with a header
+    line, or a JSON list."""
+    if fmt == "json":
+        _emit_json(rows)
+        return
+    cells = [tuple(rows[0])] + [tuple(r.values()) for r in rows]
+    if fmt == "csv":
+        for row in cells:
+            print(",".join(map(str, row)))
+    else:
+        print(format_matrix(cells))
+
+
+def _arch_line(arch: Architecture) -> str:
+    return f"n0={arch.n0} widths={','.join(map(str, arch.widths))}"
 
 
 def _strictness_lines(arch: Architecture) -> list[str]:
@@ -120,7 +148,7 @@ def cmd_bound(args) -> int:
                 }
             )
         else:
-            print(f"n0={arch.n0} widths={','.join(map(str, arch.widths))}")
+            print(_arch_line(arch))
             print(f"{g.name}: {value}")
         return 0
     values = {
@@ -141,7 +169,7 @@ def cmd_bound(args) -> int:
             }
         )
         return 0
-    print(f"n0={arch.n0} widths={','.join(map(str, arch.widths))}")
+    print(_arch_line(arch))
     for name in ("naive", "montufar", "binomial", "serra", "lower"):
         print(f"{name:9s}{values[name]}")
     for line in _strictness_lines(arch):
@@ -163,18 +191,7 @@ def cmd_table(args) -> int:
                     "binomial": evaluate_bound(BINOMIAL, arch),
                 }
             )
-    if args.format == "json":
-        _emit_json(rows)
-    elif args.format == "csv":
-        print("n,n0,L,montufar,binomial")
-        for r in rows:
-            print(f"{r['n']},{r['n0']},{r['L']},{r['montufar']},{r['binomial']}")
-    else:
-        header = ("n", "n0", "L", "montufar", "binomial")
-        cells = [header] + [
-            tuple(str(r[k]) for k in header) for r in rows
-        ]
-        print(format_matrix(cells))
+    _emit_rows(args.format, rows)
     return 0
 
 
@@ -182,7 +199,7 @@ def cmd_matrix(args) -> int:
     g = BUILTIN[args.gamma]
     m = build_bound_matrix(g, args.n)
     if args.format == "json":
-        _emit_json({"gamma": g.name, "n": args.n, "rows": matrix_to_json(m.rows)})
+        _emit_json({"gamma": g.name, "n": args.n, "rows": m.rows})
     else:
         print(format_matrix(m.rows))
     return 0
@@ -221,10 +238,9 @@ def cmd_decompose(args) -> int:
 def cmd_asymptotic(args) -> int:
     rep = decomposition.asymptotic_report(args.n, args.n0)
     if args.format == "json":
-        _emit_json(rep.to_dict())
+        _emit_json(dataclasses.asdict(rep))
     elif args.format == "csv":
-        print(rep.CSV_HEADER)
-        print(rep.csv_row())
+        _emit_rows("csv", [dataclasses.asdict(rep)])
     else:
         print(f"n={rep.n} n0={rep.n0}")
         print(f"montufar base: {rep.montufar_base}")
@@ -233,6 +249,26 @@ def cmd_asymptotic(args) -> int:
         print(f"log2 binomial: {rep.log2_binomial!r}")
         print(f"stirling exponent (approximate): {rep.stirling_exponent!r}")
     return 0
+
+
+def _count_payload(report: empirical.VerificationReport, sampled, args) -> dict:
+    """The ``count --format json`` schema."""
+    payload = {
+        "n0": report.architecture.n0,
+        "widths": list(report.architecture.widths),
+        "exact_count": report.count,
+        "binomial_bound": report.binomial,
+        "zaslavsky_bound": report.zaslavsky,
+        "naive_bound": report.naive,
+        "chain_ok": report.chain_ok,
+        "recursion_ok": report.recursion_ok,
+        "recursion_detail": [
+            {"gamma": g, "layer": l, "ok": ok} for (g, l, ok) in report.recursion_detail
+        ],
+    }
+    if sampled is not None:
+        payload.update(sample_count=sampled, samples=args.samples, seed=args.seed)
+    return payload
 
 
 def cmd_count(args) -> int:
@@ -257,15 +293,9 @@ def cmd_count(args) -> int:
     if sampled is not None:
         ok = ok and sampled <= report.count
     if args.format == "json":
-        payload = report.to_dict()
-        if sampled is not None:
-            payload["sample_count"] = sampled
-            payload["samples"] = args.samples
-            payload["seed"] = args.seed
-        _emit_json(payload)
+        _emit_json(_count_payload(report, sampled, args))
         return 0 if ok else 1
-    arch = report.architecture
-    print(f"n0={arch.n0} widths={','.join(map(str, arch.widths))}")
+    print(_arch_line(report.architecture))
     print(f"exact count:     {report.count}")
     if sampled is not None:
         print(f"sampled count:   {sampled} ({args.samples} samples, seed {args.seed})")
@@ -297,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="layer width")
     p.add_argument("--n0-list", type=parse_int_list, default=(1, 2, 3, 4),
                    help="input dimensions, comma separated")
-    p.add_argument("--l-max", type=parse_positive_int, default=6,
+    p.add_argument("--l-max", type=int_at_least(1), default=6,
                    help="maximum depth")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=cmd_table)
@@ -331,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=int, default=1000,
                    help="weight denominator (with --random)")
-    p.add_argument("--samples", type=parse_nonnegative_int, default=0,
+    p.add_argument("--samples", type=int_at_least(0), default=0,
                    help="also sample this many points for a lower bound")
     p.add_argument("--box-radius", type=parse_rational,
                    default=empirical.DEFAULT_BOX_RADIUS)

@@ -147,8 +147,6 @@ def build_decomposition(n: int) -> JordanLikeDecomposition:
 
 def verify_B_equals_C(n: int) -> bool:
     """True iff the width-n binomial bound matrix equals the size-(n+1) C."""
-    if n < 1:
-        raise ValueError("dimension out of range")
     return build_bound_matrix(BINOMIAL, n).rows == build_decomposition(n + 1).C
 
 
@@ -206,25 +204,6 @@ class AsymptoticReport:
     log2_montufar: float
     log2_binomial: float
     stirling_exponent: float
-
-    CSV_HEADER = "n,n0,montufar_base,binomial_base,log2_montufar,log2_binomial,stirling_exponent"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.n},{self.n0},{self.montufar_base},{self.binomial_base},"
-            f"{self.log2_montufar!r},{self.log2_binomial!r},{self.stirling_exponent!r}"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n0": self.n0,
-            "montufar_base": self.montufar_base,
-            "binomial_base": self.binomial_base,
-            "log2_montufar": self.log2_montufar,
-            "log2_binomial": self.log2_binomial,
-            "stirling_exponent": self.stirling_exponent,
-        }
 
 
 def asymptotic_report(n: int, n0: int) -> AsymptoticReport:

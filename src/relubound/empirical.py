@@ -142,11 +142,17 @@ def signature_at(net: ReluNetwork, x: Sequence) -> MultiSignature:
     return tuple(sigs)
 
 
+def _box_radius(box_radius) -> Fraction:
+    """The box radius R as an exact rational; the box [-R, R]^n0 must be nonempty."""
+    radius = _frac(box_radius)
+    if radius <= 0:
+        raise ValueError("box radius must be positive")
+    return radius
+
+
 def _root_tableau(radius: Fraction, n_vars: int) -> Tableau:
     """The box's optimal region LP: max t over z = x + R in [0, 2R]^n_vars,
     t in [0, 1]. Each constraint is then appended as one ``_row``."""
-    if radius <= 0:
-        raise ValueError("box radius must be positive")
     return capped([0] * n_vars + [1], [2 * radius] * n_vars + [1])
 
 
@@ -161,7 +167,7 @@ def _row(con: Constraint, radius: Fraction) -> list[Fraction]:
 def feasible(constraints: Sequence[Constraint], box_radius=DEFAULT_BOX_RADIUS) -> bool:
     """True iff some x in the box satisfies all constraints (strict ones
     strictly), that is iff the region LP is feasible with t* > 0."""
-    radius = _frac(box_radius)
+    radius = _box_radius(box_radius)
     n_vars = len(constraints[0].coeffs) if constraints else 1
     if any(len(con.coeffs) != n_vars for con in constraints):
         raise ValueError("constraints differ in dimension")
@@ -261,7 +267,7 @@ def enumerate_regions(
 ) -> EnumerationResult:
     """Breadth-first exact enumeration of attained multi-signatures in the box."""
     _check_guard(net, allow_large)
-    radius = _frac(box_radius)
+    radius = _box_radius(box_radius)
     n0 = net.n0
     identity = tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n0))
@@ -295,7 +301,7 @@ def sample_count(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    radius = _frac(box_radius)
+    radius = _box_radius(box_radius)
     rng = random.Random(seed)
     grid = 10 ** 9
     seen: set[MultiSignature] = set()
@@ -342,22 +348,6 @@ class VerificationReport:
 
     def values(self) -> tuple[int, int, int, int]:
         return (self.count, self.binomial, self.zaslavsky, self.naive)
-
-    def to_dict(self) -> dict:
-        return {
-            "n0": self.architecture.n0,
-            "widths": list(self.architecture.widths),
-            "exact_count": self.count,
-            "binomial_bound": self.binomial,
-            "zaslavsky_bound": self.zaslavsky,
-            "naive_bound": self.naive,
-            "chain_ok": self.chain_ok,
-            "recursion_ok": self.recursion_ok,
-            "recursion_detail": [
-                {"gamma": g, "layer": l, "ok": ok}
-                for (g, l, ok) in self.recursion_detail
-            ],
-        }
 
 
 def recursion_checks(
@@ -439,12 +429,7 @@ def network_from_dict(data: Mapping) -> ReluNetwork:
         rows_ok = isinstance(weights, list) and all(isinstance(r, list) for r in weights)
         if not rows_ok or not isinstance(biases, list):
             raise ValueError(f"layer {index}: 'W' must be a list of lists, 'b' a list")
-        layers.append(
-            ReluLayer(
-                tuple(tuple(_frac(w) for w in row) for row in weights),
-                tuple(_frac(b) for b in biases),
-            )
-        )
+        layers.append(ReluLayer(weights, biases))  # ReluLayer converts the entries
     return ReluNetwork(data["n0"], tuple(layers))
 
 

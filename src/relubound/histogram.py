@@ -28,9 +28,10 @@ class Histogram:
             raise ValueError("counts must be integers")
         if c and min(c) < 0:
             raise ValueError("negative count")
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "counts", c)
+        end = len(c)
+        while end and c[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "counts", c[:end])
 
     def entry(self, j: int) -> int:
         return self.counts[j] if 0 <= j < len(self.counts) else 0

@@ -24,7 +24,6 @@ from relubound import (
     stirling_weakened,
     width_increases_somewhere,
 )
-from relubound.bound_matrices import format_matrix, matrix_to_json
 
 # Widths 16..128 in shuffled order with repeats: against n0 = 40 the clamp
 # both merges indices (a layer narrower than the vector's support) and pads
@@ -214,11 +213,3 @@ class TestStrictnessConditions:
                     assert (mont < naive) == width_increases_somewhere(arch)
                     assert (binom < mont) == narrow_layer_somewhere(arch)
 
-
-class TestFormatting:
-    def test_format_matrix_alignment(self):
-        text = format_matrix(((1, 10), (100, 1)))
-        assert text == "  1  10\n100   1"
-
-    def test_matrix_to_json(self):
-        assert matrix_to_json(((1, 2), (3, 4))) == [[1, 2], [3, 4]]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from relubound.cli import main, parse_widths
+from relubound.cli import format_matrix, main, parse_widths
 
 
 class TestWidthParsing:
@@ -23,6 +23,12 @@ class TestWidthParsing:
             parse_widths("4:x0")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_widths("a,b")
+
+
+class TestFormatting:
+    def test_format_matrix_alignment(self):
+        text = format_matrix(((1, 10), (100, 1)))
+        assert text == "  1  10\n100   1"
 
 
 class TestBoundCommand:
@@ -143,6 +149,13 @@ class TestCountCommand:
         assert "exact count:     7" in out
         assert "chain exact <= binomial <= zaslavsky <= naive: True" in out
 
+    def test_report_serializes(self, capsys):
+        assert main(["count", "--triangle", "down", "--box-radius", "10",
+                     "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["exact_count"] == 7
+        assert data["chain_ok"] is True
+
     def test_random_json(self, capsys):
         code = main(
             ["count", "--random", "--n0", "2", "--widths", "3,2", "--seed", "1",
@@ -238,6 +251,16 @@ class TestArgumentErrors:
             main(["count", "--triangle", "down", "--samples", "-1"])
         assert err.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, low", [
+        (["table", "--n", "3", "--l-max", "abc"], "--l-max", 1),
+        (["count", "--triangle", "down", "--samples", "x"], "--samples", 0),
+    ])
+    def test_non_integer_named_plainly(self, argv, flag, low, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"{flag}: must be an integer >= {low}: '{argv[-1]}'" in capsys.readouterr().err
 
     def test_zero_box_radius(self, capsys):
         assert main(["count", "--triangle", "down", "--box-radius", "0"]) == 1

@@ -1,6 +1,5 @@
 """Exact region enumeration: signatures, LPs, counts, verification."""
 
-import json
 import random
 import sys
 from fractions import Fraction
@@ -295,6 +294,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_count(triangle_network(), 0, BOX10)
 
+    @pytest.mark.parametrize("radius", [0, -5])
+    def test_box_must_be_nonempty(self, radius):
+        with pytest.raises(ValueError, match="box radius must be positive"):
+            sample_count(triangle_network(), 50, box_radius=radius)
+
 
 class TestRandomNetwork:
     def test_deterministic_per_seed(self):
@@ -324,13 +328,6 @@ class TestVerifyNetwork:
             assert report.chain_ok
             assert report.recursion_ok
             assert report.count <= report.binomial <= report.zaslavsky <= report.naive
-
-    def test_report_serializes(self):
-        report = verify_network(triangle_network(), BOX10)
-        data = report.to_dict()
-        assert data["exact_count"] == 7
-        assert data["chain_ok"] is True
-        json.dumps(data)
 
 
 class TestNetworkJson:

@@ -1,5 +1,7 @@
 """Histogram space: canonical form, dominance order, max, clip, norms."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,11 @@ from conftest import dominated_pairs, histograms
 class TestCanonicalForm:
     def test_trailing_zeros_dropped(self):
         assert Histogram((1, 2, 0, 0)) == Histogram((1, 2))
+
+    def test_long_zero_tail_trims_in_linear_time(self):
+        start = time.perf_counter()
+        assert Histogram((1,) + (0,) * 10 ** 5).counts == (1,)
+        assert time.perf_counter() - start < 1.0
 
     def test_zero_is_empty(self):
         assert zero() == Histogram(())
