@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -273,7 +275,10 @@ def _count_payload(report: empirical.VerificationReport, sampled, args) -> dict:
 
 def cmd_count(args) -> int:
     if args.network is not None:
-        net = empirical.load_network(args.network)
+        try:
+            net = empirical.load_network(args.network)
+        except OSError as exc:  # the only I/O error reported as "error:"
+            raise ValueError(exc) from None
     elif args.random:
         if args.n0 is None or args.widths is None:
             raise ValueError("--random needs --n0 and --widths")
@@ -307,7 +312,9 @@ def cmd_count(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="relubound",
         description="Exact bounds and exact counts for ReLU network regions.",
@@ -378,11 +385,19 @@ def main(argv=None) -> int:
     # the bounds here routinely exceed that and must print in full.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop quietly. Pointing stdout
+        # at devnull keeps the interpreter's final flush from failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

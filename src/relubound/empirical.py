@@ -16,20 +16,21 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import bound_matrices
-from .gamma import BINOMIAL, NAIVE, ZASLAVSKY, GammaCollection
+from .gamma import BINOMIAL, NAIVE, ZASLAVSKY, GammaCollection, MultiSignature
 from .histogram import leq, unit
 from .simplex import OPTIMAL, Tableau, capped, solve_max
 from .transition import Architecture, dimension_histogram, phi
 
-Signature = tuple[int, ...]
-MultiSignature = tuple[Signature, ...]
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+# Each active unit k of a layer with its pre-activation (a_1, ..., a_n0, c).
+Live = tuple[tuple[int, Vector], ...]
 
 DEFAULT_BOX_RADIUS = Fraction(10 ** 6)
 
@@ -94,8 +95,9 @@ class ReluNetwork:
                 raise ValueError("layer input dimension mismatch")
             expect = layer.out_dim
 
-    @property
+    @cached_property
     def architecture(self) -> Architecture:
+        """Built once, when the network is validated."""
         return Architecture(self.n0, tuple(l.out_dim for l in self.layers))
 
 
@@ -111,17 +113,16 @@ class Constraint:
 
 @dataclass(frozen=True)
 class RegionRecord:
-    """One attained signature prefix with its restriction data.
+    """One attained signature prefix and a point of its region.
 
-    ``linear``/``offset`` give the affine map the truncated network
-    computes on this region; ``witness`` is a point of the region inside
-    the box (from the feasibility LP). The region's halfspace conditions
-    live only in the LP tableau that travels with it during enumeration.
+    ``witness`` lies in the region and inside the box (it is the optimum
+    of the region's LP). The region's halfspace conditions live only in
+    its LP tableau, and the affine map the truncated network computes on
+    it only in its ``live`` rows (see ``_expand_region``); both travel
+    beside the record during enumeration and are not returned.
     """
 
     prefix: MultiSignature
-    linear: Matrix
-    offset: Vector
     witness: Vector
 
 
@@ -156,12 +157,12 @@ def _root_tableau(radius: Fraction, n_vars: int) -> Tableau:
     return capped([0] * n_vars + [1], [2 * radius] * n_vars + [1])
 
 
-def _row(con: Constraint, radius: Fraction) -> list[Fraction]:
-    """The LP row of a constraint: strict rows read coeffs.x + offset >= t."""
-    shift = radius * sum(con.coeffs)
-    if con.strict:
-        return [-a for a in con.coeffs] + [Fraction(1), con.offset - shift]
-    return [*con.coeffs, Fraction(0), shift - con.offset]
+def _row(coeffs: Sequence, offset, strict, radius: Fraction) -> list[Fraction]:
+    """The LP row of coeffs.x + offset > 0 (strict, read as >= t) or <= 0."""
+    shift = radius * sum(coeffs)
+    if strict:
+        return [-a for a in coeffs] + [Fraction(1), offset - shift]
+    return [*coeffs, Fraction(0), shift - offset]
 
 
 def feasible(constraints: Sequence[Constraint], box_radius=DEFAULT_BOX_RADIUS) -> bool:
@@ -172,7 +173,8 @@ def feasible(constraints: Sequence[Constraint], box_radius=DEFAULT_BOX_RADIUS) -
     if any(len(con.coeffs) != n_vars for con in constraints):
         raise ValueError("constraints differ in dimension")
     tab = _root_tableau(radius, n_vars)
-    status, value, _ = solve_max(tab, [_row(con, radius) for con in constraints])
+    rows = [_row(con.coeffs, con.offset, con.strict, radius) for con in constraints]
+    status, value, _ = solve_max(tab, rows)
     return status == OPTIMAL and value > 0
 
 
@@ -194,62 +196,45 @@ class EnumerationResult:
 
 def _check_guard(net: ReluNetwork, allow_large: bool) -> None:
     arch = net.architecture
-    if allow_large:
-        return
-    if (
-        arch.n0 > GUARD_N0
-        or arch.depth > GUARD_DEPTH
-        or any(w > GUARD_WIDTH for w in arch.widths)
-    ):
+    over = (arch.n0 > GUARD_N0, arch.depth > GUARD_DEPTH, max(arch.widths) > GUARD_WIDTH)
+    if any(over) and not allow_large:
         raise ValueError("instance too large")
 
 
 def _expand_region(
     region: RegionRecord,
     tableau: Tableau,
+    live: Live,
     layer: ReluLayer,
     radius: Fraction,
-    n0: int,
-) -> list[tuple[RegionRecord, Tableau]]:
-    """All feasible extensions of one region by one layer, each with its LP.
+) -> list[tuple[RegionRecord, Tableau, Live]]:
+    """All feasible extensions of one region by one layer, each with its LP
+    and the ``live`` rows of its active units.
 
-    Walks the units depth-first. A child's LP is a copy of its parent's
-    optimal ``tableau`` plus the child's halfspace row, so infeasible bit
-    prefixes are pruned early and no LP is rebuilt from scratch.
+    ``live`` pairs each active unit k of the previous layer with its
+    pre-activation (a_1, ..., a_n0, c) on the region; inactive units output
+    0 and cost nothing. Walks the units depth-first. A child's LP is a copy
+    of its parent's optimal ``tableau`` plus the child's halfspace row, so
+    infeasible bit prefixes are pruned early and no LP is rebuilt.
     """
+    columns = range(len(region.witness) + 1)
     funcs = []
     for w_row, b in zip(layer.weights, layer.biases):
-        coeffs = tuple(
-            sum(w * region.linear[k][j] for k, w in enumerate(w_row))
-            for j in range(n0)
-        )
-        offset = sum(w * c for w, c in zip(w_row, region.offset)) + b
-        funcs.append((coeffs, offset))
-    out: list[tuple[RegionRecord, Tableau]] = []
-    width = layer.out_dim
+        f = [sum(w_row[k] * g[j] for k, g in live) for j in columns]
+        f[-1] += b
+        funcs.append(tuple(f))
+    out: list[tuple[RegionRecord, Tableau, Live]] = []
 
     def descend(i: int, bits: tuple[int, ...], tab: Tableau) -> None:
-        if i == width:
-            new_linear = tuple(
-                funcs[k][0] if bit else tuple(Fraction(0) for _ in range(n0))
-                for k, bit in enumerate(bits)
-            )
-            new_offset = tuple(
-                funcs[k][1] if bit else Fraction(0) for k, bit in enumerate(bits)
-            )
-            record = RegionRecord(
-                prefix=region.prefix + (bits,),
-                linear=new_linear,
-                offset=new_offset,
-                witness=tuple(v - radius for v in tab.point()[:n0]),
-            )
-            out.append((record, tab))
+        if i == len(funcs):
+            witness = tuple(v - radius for v in tab.point()[:-1])
+            active = tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)
+            out.append((RegionRecord(region.prefix + (bits,), witness), tab, active))
             return
-        coeffs, offset = funcs[i]
+        coeffs, offset = funcs[i][:-1], funcs[i][-1]
         for bit in (0, 1):
-            row = _row(Constraint(coeffs, offset, strict=bool(bit)), radius)
             child = tab.copy()
-            status, value, _ = solve_max(child, [row])
+            status, value, _ = solve_max(child, [_row(coeffs, offset, bit, radius)])
             if status == OPTIMAL and value > 0:
                 descend(i + 1, bits + (bit,), child)
 
@@ -269,24 +254,18 @@ def enumerate_regions(
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
     n0 = net.n0
-    identity = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n0))
-        for i in range(n0)
-    )
-    root = RegionRecord(
-        prefix=(),
-        linear=identity,
-        offset=tuple(Fraction(0) for _ in range(n0)),
-        witness=tuple(Fraction(0) for _ in range(n0)),
-    )
-    # Each region travels with its optimal LP; the records returned do not.
-    regions = [(root, _root_tableau(radius, n0))]
+    root = RegionRecord(prefix=(), witness=(Fraction(0),) * n0)
+    # The input coordinates are the root's active units: x_j = e_j.x + 0.
+    identity = tuple((j, tuple(int(i == j) for i in range(n0 + 1))) for j in range(n0))
+    # Each region travels with its optimal LP and its live rows; the
+    # records returned keep neither.
+    regions = [(root, _root_tableau(radius, n0), identity)]
     layer_sets: list[frozenset[MultiSignature]] = []
     for layer in net.layers:
-        regions = [pair for r, tab in regions
-                   for pair in _expand_region(r, tab, layer, radius, n0)]
-        layer_sets.append(frozenset(r.prefix for r, _ in regions))
-    return EnumerationResult(tuple(layer_sets), tuple(r for r, _ in regions))
+        regions = [child for r, tab, live in regions
+                   for child in _expand_region(r, tab, live, layer, radius)]
+        layer_sets.append(frozenset(r.prefix for r, _, _ in regions))
+    return EnumerationResult(tuple(layer_sets), tuple(r for r, _, _ in regions))
 
 
 def sample_count(
@@ -362,14 +341,13 @@ def recursion_checks(
     to the previous layer's.
     """
     arch = net.architecture
+    observed = [dimension_histogram(p, arch.n0) for p in enumeration.prefixes_per_layer]
     detail = []
     for g in collections:
         prev = unit(arch.n0)
-        for l, width in enumerate(arch.widths, start=1):
-            bound_hist = phi(g, width, prev)
-            observed = dimension_histogram(enumeration.prefixes_per_layer[l - 1], arch.n0)
-            detail.append((g.name, l, leq(observed, bound_hist)))
-            prev = observed
+        for l, (width, hist) in enumerate(zip(arch.widths, observed), start=1):
+            detail.append((g.name, l, leq(hist, phi(g, width, prev))))
+            prev = hist
     return tuple(detail)
 
 

@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     from .empirical import ReluNetwork
 
 Signature = tuple[int, ...]
+MultiSignature = tuple[Signature, ...]
 
 
 @dataclass(frozen=True)

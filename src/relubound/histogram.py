@@ -36,10 +36,6 @@ class Histogram:
     def entry(self, j: int) -> int:
         return self.counts[j] if 0 <= j < len(self.counts) else 0
 
-    def support_max(self) -> int:
-        """Largest index with a nonzero entry; -1 for the zero histogram."""
-        return len(self.counts) - 1
-
     def __add__(self, other: "Histogram") -> "Histogram":
         return add(self, other)
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gamma import GammaCollection, gamma_value
+from .gamma import GammaCollection, MultiSignature, gamma_value
 from .histogram import Histogram, add, clip, scale, unit, zero
-
-MultiSignature = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)

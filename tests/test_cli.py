@@ -1,10 +1,16 @@
 """The command-line interface: flags, formats, exit codes, determinism."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from relubound.cli import format_matrix, main, parse_widths
+import relubound
+from relubound.cli import build_parser, format_matrix, main, parse_widths
 
 
 class TestWidthParsing:
@@ -274,3 +280,48 @@ class TestArgumentErrors:
         code = main(["bound", "--n0", "0", "--widths", "3"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestOutputAndFiles:
+    def test_missing_network_file(self, tmp_path, capsys):
+        assert main(["count", "--network", str(tmp_path / "absent.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
+    def test_closed_stdout_is_not_an_error(self, tmp_path, monkeypatch, capsys):
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        try:
+            assert main(["table", "--n", "4", "--l-max", "3"]) == 1
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_the_pipe_early(self):
+        """``relubound matrix ... | head -1``: exit 1, nothing on stderr."""
+        env = dict(os.environ, PYTHONPATH=str(Path(relubound.__file__).parents[1]))
+        argv = [sys.executable, "-m", "relubound.cli", "matrix", "--gamma", "naive",
+                "--n", "150"]  # about 1 MB of output, far beyond a pipe buffer
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert err == b""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
