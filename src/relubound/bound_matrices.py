@@ -12,11 +12,13 @@ constructive lower bound) are implemented next to it for comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .gamma import GammaCollection
 from .histogram import unit
-from .transition import Architecture, phi
+from .transition import Architecture, layer_step, phi
 
 Row = tuple[int, ...]
 
@@ -60,24 +62,25 @@ def build_connector(n: int, n_prime: int) -> ConnectorMatrix:
     return ConnectorMatrix(n, n_prime, rows)
 
 
-def evaluate_bound(g: GammaCollection, arch: Architecture) -> int:
-    """l1 norm of B_{nL} M ... B_{n1} M applied to the basis vector e_{n0+1}.
+def bound_vectors(g: GammaCollection, arch: Architecture) -> Iterator[list[int]]:
+    """B_{nl} M ... B_{n1} M e_{n0+1} for l = 1..L: the depth-l bound is its l1 norm.
 
-    B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer adds, for
-    every nonzero entry j of the vector, that many copies of the column;
-    neither connectors nor matrix products are formed.
+    B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer is one
+    ``layer_step`` over B_{n'}'s columns; no connector or product is formed.
     """
     vec = [0] * arch.n0 + [1]
     cache: dict[int, list[Row]] = {}
     for width in arch.widths:
         if width not in cache:
             cache[width] = list(zip(*build_bound_matrix(g, width).rows))
-        cols = cache[width]
-        out = [0] * (width + 1)
-        for j, count in enumerate(vec):
-            if count:
-                out = [o + count * x for o, x in zip(out, cols[min(j, width)])]
-        vec = out
+        vec = layer_step(cache[width].__getitem__, width, vec)
+        yield vec
+
+
+def evaluate_bound(g: GammaCollection, arch: Architecture) -> int:
+    """l1 norm of B_{nL} M ... B_{n1} M applied to the basis vector e_{n0+1}."""
+    for vec in bound_vectors(g, arch):
+        pass
     return sum(vec)
 
 
@@ -89,11 +92,10 @@ def naive_bound(arch: Architecture) -> int:
 def montufar_bound(arch: Architecture) -> int:
     """Product over layers of sum_{j<=min(n0..n_{l-1})} C(n_l, j)."""
     dims = arch.dims()
-    out = 1
-    for l in range(1, len(dims)):
-        m = min(dims[:l])
-        out *= sum(math.comb(dims[l], j) for j in range(m + 1))
-    return out
+    return math.prod(
+        sum(math.comb(dims[l], j) for j in range(min(dims[:l]) + 1))
+        for l in range(1, len(dims))
+    )
 
 
 def serra_sum(arch: Architecture) -> int:
@@ -115,23 +117,30 @@ def serra_sum(arch: Architecture) -> int:
     return sum(sums.values())
 
 
+def stirling_exponent(n: int) -> float:
+    """log2 of the Stirling-weakened form's per-layer factor at width n."""
+    return n - 0.5 + math.log2(1.0 + 1.0 / math.sqrt(math.pi * n)) / 2.0
+
+
 def stirling_weakened(n: int, L: int) -> float:
     """Stirling-weakened closed form 2^(Ln) (1/2 + 1/(2 sqrt(pi n)))^(L/2) sqrt(2).
 
-    The only floating-point quantity in the package; approximate by
-    construction and flagged as such wherever it is printed.
+    That is 2^(L e + 1/2) with e = stirling_exponent(n): the only float in
+    the package, approximate by construction and flagged wherever printed.
     """
     if n < 1 or L < 1:
         raise ValueError("dimension out of range")
-    return 2.0 ** (L * n) * (0.5 + 1.0 / (2.0 * math.sqrt(math.pi * n))) ** (L / 2) * math.sqrt(2.0)
+    try:
+        return 2.0 ** (L * stirling_exponent(n) + 0.5)
+    except OverflowError:
+        limit = sys.float_info.max
+        raise ValueError(f"Stirling form exceeds the largest float, {limit}") from None
 
 
 def montufar_lower_bound(arch: Architecture) -> int:
     """Constructive lower bound: prod_{l<L} floor(n_l/n0)^n0 times sum_{j<=n0} C(n_L, j)."""
     widths = arch.widths
-    prod = 1
-    for w in widths[:-1]:
-        prod *= (w // arch.n0) ** arch.n0
+    prod = math.prod((w // arch.n0) ** arch.n0 for w in widths[:-1])
     return prod * sum(math.comb(widths[-1], j) for j in range(arch.n0 + 1))
 
 
@@ -152,8 +161,7 @@ def narrow_layer_somewhere(arch: Architecture) -> bool:
     collection beats the per-layer product bound strictly.
     """
     dims = arch.dims()
-    for l in range(1, len(dims) - 1):
-        if dims[l] < min(dims[: l + 1]) + min(dims[: l + 2]):
-            return True
-    return False
+    return any(
+        dims[l] < min(dims[: l + 1]) + min(dims[: l + 2]) for l in range(1, len(dims) - 1)
+    )
 

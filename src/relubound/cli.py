@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import decomposition, empirical, fixtures
 from .bound_matrices import (
+    bound_vectors,
     build_bound_matrix,
     evaluate_bound,
     montufar_bound,
@@ -137,18 +138,12 @@ def _strictness_lines(arch: Architecture) -> list[str]:
 
 def cmd_bound(args) -> int:
     arch = Architecture(args.n0, args.widths)
+    head = {"n0": arch.n0, "widths": list(arch.widths)}
     if args.gamma is not None:
         g = BUILTIN[args.gamma]
         value = evaluate_bound(g, arch)
         if args.format == "json":
-            _emit_json(
-                {
-                    "n0": arch.n0,
-                    "widths": list(arch.widths),
-                    "gamma": g.name,
-                    "bound": value,
-                }
-            )
+            _emit_json({**head, "gamma": g.name, "bound": value})
         else:
             print(_arch_line(arch))
             print(f"{g.name}: {value}")
@@ -163,8 +158,7 @@ def cmd_bound(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "n0": arch.n0,
-                "widths": list(arch.widths),
+                **head,
                 **values,
                 "montufar_lt_naive": width_increases_somewhere(arch),
                 "binomial_lt_montufar": narrow_layer_somewhere(arch),
@@ -182,17 +176,12 @@ def cmd_bound(args) -> int:
 def cmd_table(args) -> int:
     rows = []
     for n0 in args.n0_list:
-        for length in range(1, args.l_max + 1):
-            arch = Architecture(n0, (args.n,) * length)
-            rows.append(
-                {
-                    "n": args.n,
-                    "n0": n0,
-                    "L": length,
-                    "montufar": evaluate_bound(ZASLAVSKY, arch),
-                    "binomial": evaluate_bound(BINOMIAL, arch),
-                }
-            )
+        arch = Architecture(n0, (args.n,) * args.l_max)
+        layers = zip(bound_vectors(ZASLAVSKY, arch), bound_vectors(BINOMIAL, arch))
+        rows += [
+            {"n": args.n, "n0": n0, "L": length, "montufar": sum(z), "binomial": sum(b)}
+            for length, (z, b) in enumerate(layers, start=1)
+        ]
     _emit_rows(args.format, rows)
     return 0
 
@@ -220,10 +209,7 @@ def cmd_decompose(args) -> int:
                 "n": args.n,
                 "size": dec.n,
                 "xi": list(dec.xi),
-                "C": _frac_matrix_json(dec.C),
-                "P": _frac_matrix_json(dec.P),
-                "J": _frac_matrix_json(dec.J),
-                "P_inv": _frac_matrix_json(dec.P_inv),
+                **{k: _frac_matrix_json(getattr(dec, k)) for k in ("C", "P", "J", "P_inv")},
                 "matches_bound_matrix": ok,
             }
         )

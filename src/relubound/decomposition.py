@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bound_matrices import build_bound_matrix
+from .bound_matrices import build_bound_matrix, stirling_exponent
 from .gamma import BINOMIAL
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -219,7 +219,6 @@ def asymptotic_report(n: int, n0: int) -> AsymptoticReport:
         raise ValueError("dimension out of range")
     montufar_base = sum(math.comb(n, j) for j in range(min(n0, n) + 1))
     binomial_base = sum(math.comb(n, j) for j in range(min(n0, n // 2) + 1))
-    stirling_exponent = n - 0.5 + math.log2(1.0 + 1.0 / math.sqrt(math.pi * n)) / 2.0
     return AsymptoticReport(
         n=n,
         n0=n0,
@@ -227,5 +226,5 @@ def asymptotic_report(n: int, n0: int) -> AsymptoticReport:
         binomial_base=binomial_base,
         log2_montufar=math.log2(montufar_base),
         log2_binomial=math.log2(binomial_base),
-        stirling_exponent=stirling_exponent,
+        stirling_exponent=stirling_exponent(n),
     )

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import bound_matrices
-from .gamma import BINOMIAL, NAIVE, ZASLAVSKY, GammaCollection, MultiSignature
+from .gamma import BINOMIAL, NAIVE, ZASLAVSKY, MultiSignature
 from .histogram import leq, unit
 from .simplex import OPTIMAL, Tableau, capped, solve_max
 from .transition import Architecture, dimension_histogram, phi
@@ -330,20 +330,18 @@ class VerificationReport:
 
 
 def recursion_checks(
-    net: ReluNetwork,
-    enumeration: EnumerationResult,
-    collections: Iterable[GammaCollection] = (NAIVE, ZASLAVSKY, BINOMIAL),
+    net: ReluNetwork, enumeration: EnumerationResult
 ) -> tuple[tuple[str, int, bool], ...]:
     """Layer-by-layer dominance of enumerated dimension histograms.
 
-    For each collection g: the layer-1 dimension histogram must be
-    dominated by phi(g, n1, e_{n0}), and each later layer's by phi applied
-    to the previous layer's.
+    For each collection g of NAIVE, ZASLAVSKY and BINOMIAL: the layer-1
+    dimension histogram must be dominated by phi(g, n1, e_{n0}), and each
+    later layer's by phi applied to the previous layer's.
     """
     arch = net.architecture
     observed = [dimension_histogram(p, arch.n0) for p in enumeration.prefixes_per_layer]
     detail = []
-    for g in collections:
+    for g in (NAIVE, ZASLAVSKY, BINOMIAL):
         prev = unit(arch.n0)
         for l, (width, hist) in enumerate(zip(arch.widths, observed), start=1):
             detail.append((g.name, l, leq(hist, phi(g, width, prev))))

@@ -10,6 +10,7 @@ plain Python ints and may grow arbitrarily large.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 from typing import Iterable
 
 
@@ -36,23 +37,12 @@ class Histogram:
     def entry(self, j: int) -> int:
         return self.counts[j] if 0 <= j < len(self.counts) else 0
 
-    def __add__(self, other: "Histogram") -> "Histogram":
-        return add(self, other)
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 
     def to_list(self) -> list[int]:
         """JSON-friendly dense form [c0, c1, ...]."""
         return list(self.counts)
-
-    def render(self) -> str:
-        """Text form like ``3·e1 + 4·e2``; the zero histogram renders as ``0``."""
-        terms = [f"{c}·e{j}" for j, c in enumerate(self.counts) if c]
-        return " + ".join(terms) if terms else "0"
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def zero() -> Histogram:
@@ -67,8 +57,8 @@ def unit(i: int) -> Histogram:
 
 
 def add(a: Histogram, b: Histogram) -> Histogram:
-    n = max(len(a.counts), len(b.counts))
-    return Histogram(tuple(a.entry(j) + b.entry(j) for j in range(n)))
+    pairs = zip_longest(a.counts, b.counts, fillvalue=0)
+    return Histogram(tuple(x + y for x, y in pairs))
 
 
 def scale(k: int, a: Histogram) -> Histogram:
@@ -88,39 +78,27 @@ def tail_sum(v: Histogram, J: int) -> int:
     return sum(v.counts[J:])
 
 
+def _tails(v: Histogram) -> list[int]:
+    """tail_sum(v, J) for J up to v's last nonzero entry; later ones are 0."""
+    return list(accumulate(reversed(v.counts)))[::-1]
+
+
 def leq(v: Histogram, w: Histogram) -> bool:
     """Dominance order: every tail sum of v is at most the same tail sum of w."""
-    n = max(len(v.counts), len(w.counts))
-    tv = tw = 0
-    # Walk tails from the top; beyond n both tails are zero.
-    for J in range(n - 1, -1, -1):
-        tv += v.entry(J)
-        tw += w.entry(J)
-        if tv > tw:
-            return False
-    return True
+    return all(a <= b for a, b in zip_longest(_tails(v), _tails(w), fillvalue=0))
 
 
 def max_of(vs: Iterable[Histogram]) -> Histogram:
     """Smallest histogram dominating every input under ``leq``.
 
-    Entry J of the result is max_i tail(v_i, J) minus max_i tail(v_i, J+1),
-    which is nonnegative because tails grow as J shrinks.
+    Its tail sums are the largest input tail sums, index by index; entry J
+    is tail J minus tail J+1, nonnegative because tails grow as J shrinks.
     """
     items = list(vs)
     if not items:
         raise ValueError("empty max")
-    n = max((len(v.counts) for v in items), default=0)
-    tails = [0] * len(items)
-    out = [0] * n
-    prev_max = 0
-    for J in range(n - 1, -1, -1):
-        for i, v in enumerate(items):
-            tails[i] += v.entry(J)
-        cur_max = max(tails)
-        out[J] = cur_max - prev_max
-        prev_max = cur_max
-    return Histogram(tuple(out))
+    tails = [max(t) for t in zip_longest(*map(_tails, items), fillvalue=0)] + [0]
+    return Histogram(tuple(a - b for a, b in zip(tails, tails[1:])))
 
 
 def clip(v: Histogram, i_star: int) -> Histogram:

@@ -9,10 +9,10 @@ bounds the number of attainable multi-signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .gamma import GammaCollection, MultiSignature, gamma_value
-from .histogram import Histogram, add, clip, scale, unit, zero
+from .histogram import Histogram, clip, unit
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,32 @@ class Architecture:
         return (self.n0,) + self.widths
 
 
+def layer_step(column: Callable, n_prime: int, vec: Sequence[int]) -> list[int]:
+    """Sum of count x column(min(j, n')) over the nonzero entries j of vec.
+
+    Each column has length n'+1, so input indices above n' are clamped to
+    n'. ``phi`` and ``evaluate_bound`` push their vectors through this.
+    """
+    out = [0] * (n_prime + 1)
+    for j, count in enumerate(vec):
+        if count:
+            out = [o + count * x for o, x in zip(out, column(min(j, n_prime)))]
+    return out
+
+
 def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
     """Apply the width-n' transition for collection g to histogram v.
 
-    Input indices above n' are clamped to n', mirroring the connector
-    semantics; the result has support within [0, n'].
+    Column k is the collection value at (k, n') clipped at k, zero-padded.
     """
     if n_prime < 1:
         raise ValueError("dimension out of range")
-    out = zero()
-    for n, count in enumerate(v.counts):
-        if count:
-            k = min(n, n_prime)
-            out = add(out, scale(count, clip(gamma_value(g, k, n_prime), k)))
-    return out
+
+    def column(k: int) -> tuple[int, ...]:
+        c = clip(gamma_value(g, k, n_prime), k).counts
+        return c + (0,) * (n_prime + 1 - len(c))
+
+    return Histogram(tuple(layer_step(column, n_prime, v.counts)))
 
 
 def compose_bound_histogram(g: GammaCollection, arch: Architecture) -> Histogram:

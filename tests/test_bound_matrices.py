@@ -10,6 +10,7 @@ from relubound import (
     NAIVE,
     ZASLAVSKY,
     Architecture,
+    asymptotic_report,
     build_bound_matrix,
     build_connector,
     closed_form_norm,
@@ -162,6 +163,21 @@ class TestReferenceBounds:
         )
         with pytest.raises(ValueError):
             stirling_weakened(0, 1)
+
+    def test_stirling_weakened_is_the_report_exponent(self):
+        for n in (1, 4, 33, 140):
+            for L in (1, 2, 7):
+                factor = 0.5 + 1.0 / (2.0 * math.sqrt(math.pi * n))
+                closed = 2.0 ** (L * n) * factor ** (L / 2) * math.sqrt(2.0)
+                e = asymptotic_report(n, 1).stirling_exponent
+                assert stirling_weakened(n, L) == pytest.approx(closed, rel=1e-12)
+                assert stirling_weakened(n, L) == pytest.approx(2 ** (L * e + 0.5), rel=1e-12)
+
+    def test_stirling_weakened_past_float_range(self):
+        assert math.isfinite(stirling_weakened(1000, 1))
+        for n, L in ((1100, 1), (4, 400), (10 ** 400, 1)):
+            with pytest.raises(ValueError, match="largest float"):
+                stirling_weakened(n, L)
 
     def test_stirling_dominates_binomial_base(self):
         # the weakened form must stay above the exact bound it weakens

@@ -2,14 +2,17 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import relubound
+from relubound import closed_form_norm
 from relubound.cli import build_parser, format_matrix, main, parse_widths
 
 
@@ -93,6 +96,26 @@ class TestTableCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert "4,3,3,3375,1631" in lines
         assert "4,4,3,4096,1634" in lines
+
+    def test_deep_table_is_linear_in_depth(self, capsys):
+        # depth L's vector is depth L-1's pushed through one more layer,
+        # so the time is linear in --l-max
+        start = time.perf_counter()
+        assert main(["table", "--n", "32", "--l-max", "300"]) == 0
+        elapsed = time.perf_counter() - start
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        deepest = {int(n0): (int(m), int(b)) for _, n0, L, m, b in rows if L == "300"}
+        assert sorted(deepest) == [1, 2, 3, 4]
+        for n0, (montufar, binomial) in deepest.items():
+            assert montufar == sum(math.comb(32, j) for j in range(n0 + 1)) ** 300
+            assert binomial == closed_form_norm(32, n0, 300)
+        assert elapsed < 1.5
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "4", "--n0-list", "1,0"]])
+    def test_bad_architecture_reported(self, argv, capsys):
+        assert main(["table", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
 
 
 class TestMatrixCommand:

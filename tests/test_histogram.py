@@ -1,5 +1,6 @@
 """Histogram space: canonical form, dominance order, max, clip, norms."""
 
+import random
 import time
 
 import pytest
@@ -53,10 +54,6 @@ class TestCanonicalForm:
         v = Histogram((1, 2))
         assert v.entry(5) == 0
         assert v.entry(1) == 2
-
-    def test_render(self):
-        assert Histogram((0, 3, 4)).render() == "3·e1 + 4·e2"
-        assert zero().render() == "0"
 
 
 class TestArithmetic:
@@ -166,6 +163,46 @@ class TestMaxOf:
                 for u in small:
                     if leq(v, u) and leq(w, u):
                         assert leq(m, u)
+
+
+def reference_leq(v, w):
+    n = max(len(v.counts), len(w.counts))
+    return all(sum(v.counts[J:]) <= sum(w.counts[J:]) for J in range(n))
+
+
+def reference_max(vs):
+    n = max(len(v.counts) for v in vs)
+    tails = [max(sum(v.counts[J:]) for v in vs) for J in range(n + 1)]
+    return Histogram(tuple(tails[J] - tails[J + 1] for J in range(n)))
+
+
+def seeded_histogram(rng):
+    """Up to 60 entries, small or up to 10^30, with zeros in between."""
+    top = rng.choice((3, 10 ** 30))
+    length = rng.randint(0, 60)
+    return Histogram(tuple(rng.choice((0, rng.randint(0, top))) for _ in range(length)))
+
+
+class TestTailSumDefinition:
+    """leq and max_of against the per-index tail sums, written out here."""
+
+    def test_leq(self):
+        rng = random.Random(10)
+        outcomes = set()
+        for _ in range(400):
+            v, w = seeded_histogram(rng), seeded_histogram(rng)
+            if rng.random() < 0.3:
+                w = add(w, v)  # dominates v
+            outcomes.add(leq(v, w))
+            assert leq(v, w) == reference_leq(v, w)
+            assert leq(w, v) == reference_leq(w, v)
+        assert outcomes == {True, False}
+
+    def test_max_of(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            vs = [seeded_histogram(rng) for _ in range(rng.randint(1, 4))]
+            assert max_of(vs) == reference_max(vs)
 
 
 class TestClip:

@@ -1,5 +1,7 @@
 """Transition map: pushing histograms through layers, composition, dims."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,11 +13,14 @@ from relubound import (
     Architecture,
     Histogram,
     add,
+    clip,
     compose_bound_histogram,
     dimension_histogram,
+    gamma_value,
     l1_norm,
     leq,
     phi,
+    scale,
     unit,
     zero,
 )
@@ -85,6 +90,29 @@ class TestPhi:
         assert l1_norm(phi(ZASLAVSKY, n_prime, v)) == l1_norm(
             phi(BINOMIAL, n_prime, v)
         )
+
+
+def reference_phi(g, n_prime, v):
+    """Sum of count x gamma(k, n') clipped at k, k = min(n, n'), one add at a time."""
+    out = zero()
+    for n, count in enumerate(v.counts):
+        k = min(n, n_prime)
+        out = add(out, scale(count, clip(gamma_value(g, k, n_prime), k)))
+    return out
+
+
+class TestPhiReference:
+    """phi at real widths against the definition, on seeded histograms."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_definition(self, seed):
+        rng = random.Random(seed)
+        for n_prime in (1, rng.randint(2, 63), 64):
+            # up to 80 entries, so indices above n' are clamped
+            length = rng.randint(0, 80)
+            v = Histogram(tuple(rng.choice((0, rng.randint(1, 10 ** 30))) for _ in range(length)))
+            for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+                assert phi(g, n_prime, v) == reference_phi(g, n_prime, v)
 
 
 class TestCompose:
