@@ -35,14 +35,13 @@ from .decomposition import (
 )
 from .empirical import (
     DEFAULT_BOX_RADIUS,
-    Constraint,
     EnumerationResult,
     RegionRecord,
     ReluLayer,
     ReluNetwork,
     VerificationReport,
+    check_against_network,
     enumerate_regions,
-    feasible,
     load_network,
     random_network,
     sample_count,
@@ -58,7 +57,6 @@ from .gamma import (
     ZASLAVSKY,
     GammaCollection,
     activation_histogram,
-    check_against_network,
     check_monotonicity,
     gamma_value,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "BUILTIN",
     "BoundMatrix",
     "ConnectorMatrix",
-    "Constraint",
     "DEFAULT_BOX_RADIUS",
     "EnumerationResult",
     "GammaCollection",
@@ -115,7 +112,6 @@ __all__ = [
     "dimension_histogram",
     "enumerate_regions",
     "evaluate_bound",
-    "feasible",
     "gamma_value",
     "l1_norm",
     "leq",

@@ -117,9 +117,16 @@ def serra_sum(arch: Architecture) -> int:
     return sum(sums.values())
 
 
+def _past_float_range(what: str) -> ValueError:
+    return ValueError(f"{what} exceeds the largest float, {sys.float_info.max}")
+
+
 def stirling_exponent(n: int) -> float:
     """log2 of the Stirling-weakened form's per-layer factor at width n."""
-    return n - 0.5 + math.log2(1.0 + 1.0 / math.sqrt(math.pi * n)) / 2.0
+    try:
+        return n - 0.5 + math.log2(1.0 + 1.0 / math.sqrt(math.pi * n)) / 2.0
+    except OverflowError:
+        raise _past_float_range("width") from None
 
 
 def stirling_weakened(n: int, L: int) -> float:
@@ -133,8 +140,7 @@ def stirling_weakened(n: int, L: int) -> float:
     try:
         return 2.0 ** (L * stirling_exponent(n) + 0.5)
     except OverflowError:
-        limit = sys.float_info.max
-        raise ValueError(f"Stirling form exceeds the largest float, {limit}") from None
+        raise _past_float_range("Stirling form") from None
 
 
 def montufar_lower_bound(arch: Architecture) -> int:

@@ -19,17 +19,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import bound_matrices
-from .gamma import BINOMIAL, NAIVE, ZASLAVSKY, MultiSignature
+from .gamma import (
+    BINOMIAL, NAIVE, ZASLAVSKY, GammaCollection, MultiSignature, Signature,
+    activation_histogram, gamma_value,
+)
 from .histogram import leq, unit
 from .simplex import OPTIMAL, Tableau, capped, solve_max
 from .transition import Architecture, dimension_histogram, phi
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-# Each active unit k of a layer with its pre-activation (a_1, ..., a_n0, c).
+# Each active unit k of a layer with its pre-activation (a_1, ..., a_n0, c)
+# in the region LP's coordinates z = x + R.
 Live = tuple[tuple[int, Vector], ...]
 
 DEFAULT_BOX_RADIUS = Fraction(10 ** 6)
@@ -102,16 +106,6 @@ class ReluNetwork:
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Halfspace condition on the input: coeffs.x + offset > 0 if strict,
-    else coeffs.x + offset <= 0."""
-
-    coeffs: Vector
-    offset: Fraction
-    strict: bool
-
-
-@dataclass(frozen=True)
 class RegionRecord:
     """One attained signature prefix and a point of its region.
 
@@ -153,29 +147,19 @@ def _box_radius(box_radius) -> Fraction:
 
 def _root_tableau(radius: Fraction, n_vars: int) -> Tableau:
     """The box's optimal region LP: max t over z = x + R in [0, 2R]^n_vars,
-    t in [0, 1]. Each constraint is then appended as one ``_row``."""
+    t in [0, 1]. Each constraint is then appended by one ``_cut``."""
     return capped([0] * n_vars + [1], [2 * radius] * n_vars + [1])
 
 
-def _row(coeffs: Sequence, offset, strict, radius: Fraction) -> list[Fraction]:
-    """The LP row of coeffs.x + offset > 0 (strict, read as >= t) or <= 0."""
-    shift = radius * sum(coeffs)
-    if strict:
-        return [-a for a in coeffs] + [Fraction(1), offset - shift]
-    return [*coeffs, Fraction(0), shift - offset]
-
-
-def feasible(constraints: Sequence[Constraint], box_radius=DEFAULT_BOX_RADIUS) -> bool:
-    """True iff some x in the box satisfies all constraints (strict ones
-    strictly), that is iff the region LP is feasible with t* > 0."""
-    radius = _box_radius(box_radius)
-    n_vars = len(constraints[0].coeffs) if constraints else 1
-    if any(len(con.coeffs) != n_vars for con in constraints):
-        raise ValueError("constraints differ in dimension")
-    tab = _root_tableau(radius, n_vars)
-    rows = [_row(con.coeffs, con.offset, con.strict, radius) for con in constraints]
-    status, value, _ = solve_max(tab, rows)
-    return status == OPTIMAL and value > 0
+def _cut(tab: Tableau, f: Vector, bit: int) -> Tableau | None:
+    """The child LP: ``tab`` plus the row of f = (a, c), a.z + c >= t if
+    bit is 1 and a.z + c <= 0 if it is 0; None if the child is empty,
+    that is unless the LP is optimal with t* > 0."""
+    *a, c = f
+    row = [*(-x for x in a), 1, c] if bit else [*a, 0, -c]
+    child = tab.copy()
+    status, value, _ = solve_max(child, [row])
+    return child if status == OPTIMAL and value > 0 else None
 
 
 @dataclass(frozen=True)
@@ -212,10 +196,13 @@ def _expand_region(
     and the ``live`` rows of its active units.
 
     ``live`` pairs each active unit k of the previous layer with its
-    pre-activation (a_1, ..., a_n0, c) on the region; inactive units output
-    0 and cost nothing. Walks the units depth-first. A child's LP is a copy
-    of its parent's optimal ``tableau`` plus the child's halfspace row, so
-    infeasible bit prefixes are pruned early and no LP is rebuilt.
+    pre-activation (a_1, ..., a_n0, c) on the region, already in the LP's
+    coordinates z = x + R (the shift is made once, in the root's rows), so
+    the layer's pre-activations composed from them are LP rows as they
+    stand; inactive units output 0 and cost nothing. Walks the units
+    depth-first, and every child goes through one ``_cut`` of its parent's
+    optimal ``tableau``, so empty bit prefixes are pruned early and no LP is
+    rebuilt.
     """
     columns = range(len(region.witness) + 1)
     funcs = []
@@ -231,11 +218,8 @@ def _expand_region(
             active = tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)
             out.append((RegionRecord(region.prefix + (bits,), witness), tab, active))
             return
-        coeffs, offset = funcs[i][:-1], funcs[i][-1]
         for bit in (0, 1):
-            child = tab.copy()
-            status, value, _ = solve_max(child, [_row(coeffs, offset, bit, radius)])
-            if status == OPTIMAL and value > 0:
+            if (child := _cut(tab, funcs[i], bit)) is not None:
                 descend(i + 1, bits + (bit,), child)
 
     # No solve at the root: the previous layer's leaf LP (or, for the input
@@ -255,8 +239,9 @@ def enumerate_regions(
     radius = _box_radius(box_radius)
     n0 = net.n0
     root = RegionRecord(prefix=(), witness=(Fraction(0),) * n0)
-    # The input coordinates are the root's active units: x_j = e_j.x + 0.
-    identity = tuple((j, tuple(int(i == j) for i in range(n0 + 1))) for j in range(n0))
+    # The input coordinates are the root's active units: x_j = e_j.z - R.
+    identity = tuple((j, tuple(int(i == j) for i in range(n0)) + (-radius,))
+                     for j in range(n0))
     # Each region travels with its optimal LP and its live rows; the
     # records returned keep neither.
     regions = [(root, _root_tableau(radius, n0), identity)]
@@ -327,6 +312,23 @@ class VerificationReport:
 
     def values(self) -> tuple[int, int, int, int]:
         return (self.count, self.binomial, self.zaslavsky, self.naive)
+
+
+def check_against_network(
+    g: GammaCollection, net: ReluNetwork, signatures: Iterable[Signature]
+) -> bool:
+    """Check the bound condition against one concrete single-layer network.
+
+    ``signatures`` is the attained signature set of ``net`` (a single
+    layer). True iff the activation histogram is dominated by the
+    collection's value at (min(n, n'), n'). This tests necessity only; no
+    finite set of networks can establish the condition for all of them.
+    """
+    if len(net.layers) != 1:
+        raise ValueError("single layer required")
+    n, n_prime = net.n0, net.layers[0].out_dim
+    observed = activation_histogram(signatures, n_prime)
+    return leq(observed, gamma_value(g, min(n, n_prime), n_prime))
 
 
 def recursion_checks(

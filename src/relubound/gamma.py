@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .histogram import Histogram, leq
-
-if TYPE_CHECKING:
-    from .empirical import ReluNetwork
 
 Signature = tuple[int, ...]
 MultiSignature = tuple[Signature, ...]
@@ -93,21 +90,3 @@ def activation_histogram(signatures: Iterable[Signature], n_prime: int) -> Histo
             raise ValueError("signature length mismatch")
         out[sum(s)] += 1
     return Histogram(tuple(out))
-
-
-def check_against_network(
-    g: GammaCollection, net: "ReluNetwork", signatures: Iterable[Signature]
-) -> bool:
-    """Check the bound condition against one concrete single-layer network.
-
-    ``signatures`` is the attained signature set of ``net`` (a single
-    layer). True iff the activation histogram is dominated by the
-    collection's value at (min(n, n'), n'). This tests necessity only; no
-    finite set of networks can establish the condition for all of them.
-    """
-    if len(net.layers) != 1:
-        raise ValueError("single layer required")
-    n, n_prime = net.n0, net.layers[0].out_dim
-    observed = activation_histogram(signatures, n_prime)
-    return leq(observed, gamma_value(g, min(n, n_prime), n_prime))
-

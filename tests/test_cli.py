@@ -169,6 +169,14 @@ class TestAsymptoticCommand:
         )
         assert lines[1].startswith("4,2,11,11,")
 
+    def test_width_past_float_range(self, capsys):
+        assert main(["asymptotic", "--n", "1" + "0" * 400, "--n0", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "largest float" in line
+
 
 class TestCountCommand:
     def test_triangle(self, capsys):

@@ -8,13 +8,11 @@ import pytest
 
 from relubound import (
     Architecture,
-    Constraint,
     Histogram,
     ReluLayer,
     ReluNetwork,
     dimension_histogram,
     enumerate_regions,
-    feasible,
     load_network,
     random_network,
     sample_count,
@@ -95,55 +93,31 @@ class TestSignatureAt:
         assert signature_at(net, [F(-1)]) == ((0,), (0,))
 
 
-class TestFeasible:
-    def test_empty_system_is_the_box(self):
-        assert feasible([], BOX10)
+class TestRegionLP:
+    """The region LP's emptiness test, seen through one-layer enumerations."""
 
-    def test_contradiction(self):
-        c_pos = Constraint((F(1), F(0)), F(0), strict=True)
-        c_nonpos = Constraint((F(1), F(0)), F(0), strict=False)
-        assert not feasible([c_pos, c_nonpos], BOX10)
-
-    def test_mixed_system(self):
-        c1 = Constraint((F(1), F(0)), F(0), strict=True)
-        c2 = Constraint((F(0), F(1)), F(0), strict=False)
-        assert feasible([c1, c2], BOX10)
-
-    def test_binding_nonstrict_is_feasible(self):
-        # x <= 0 and -x <= 0 leaves only x = 0, still nonempty
-        c1 = Constraint((F(1),), F(0), strict=False)
-        c2 = Constraint((F(-1),), F(0), strict=False)
-        assert feasible([c1, c2], BOX10)
-
-    def test_region_outside_box_missed(self):
+    @pytest.mark.parametrize("weights, biases, box, expected", [
+        # a strict and a non-strict row on one hyperplane conflict
+        pytest.param([[1, 0], [1, 0]], [0, 0], BOX10, {(0, 0), (1, 1)}, id="coincident"),
+        pytest.param([[1, 0], [0, 1]], [0, 0], BOX10, {(0, 0), (0, 1), (1, 0), (1, 1)},
+                     id="mixed"),
+        # x <= 0 and -x <= 0 leave x = 0; x > 0 and -x > 0 leave nothing
+        pytest.param([[1], [-1]], [0, 0], BOX10, {(0, 0), (0, 1), (1, 0)}, id="opposite"),
+        # 0 > 0 is feasible for the LP but its optimum is t* = 0
+        pytest.param([[0]], [0], BOX10, {(0,)}, id="zero_row"),
+        pytest.param([[0]], [1], BOX10, {(1,)}, id="zero_row_positive_offset"),
         # x > 3 is empty inside box radius 2
-        c = Constraint((F(1),), F(-3), strict=True)
-        assert feasible([c], BOX10)
-        assert not feasible([c], F(2))
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            feasible([], F(0))
-
-    def test_constraints_of_different_dimensions(self):
-        mixed = [Constraint((1,), 0, True), Constraint((1, 1), 0, False)]
-        with pytest.raises(ValueError, match="dimension"):
-            feasible(mixed, 10)
-
-    def test_strict_zero_row_is_empty(self):
-        # 0 > 0: the LP is feasible but its optimum is t* = 0
-        assert not feasible([Constraint((F(0),), F(0), strict=True)], BOX10)
-
-    def test_nonstrict_zero_row_is_full(self):
-        assert feasible([Constraint((F(0),), F(0), strict=False)], BOX10)
-
-    def test_strict_zero_row_with_positive_offset_is_full(self):
-        assert feasible([Constraint((F(0),), F(1), strict=True)], BOX10)
-
-    def test_opposite_strict_pair_is_empty(self):
-        c_pos = Constraint((F(1),), F(0), strict=True)
-        c_neg = Constraint((F(-1),), F(0), strict=True)
-        assert not feasible([c_pos, c_neg], BOX10)
+        pytest.param([[1]], [-3], BOX10, {(0,), (1,)}, id="threshold_inside_box"),
+        pytest.param([[1]], [-3], F(2), {(0,)}, id="threshold_outside_box"),
+        pytest.param([[1]], [0], F(0), ValueError, id="zero_radius"),
+    ])
+    def test_one_layer(self, weights, biases, box, expected):
+        net = ReluNetwork(len(weights[0]), (ReluLayer(weights, biases),))
+        if expected is ValueError:
+            with pytest.raises(ValueError, match="box radius must be positive"):
+                enumerate_regions(net, box)
+        else:
+            assert {s for (s,) in enumerate_regions(net, box).multisignatures} == expected
 
 
 class TestTriangleFixture:
