@@ -93,6 +93,39 @@ class TestSignatureAt:
         assert signature_at(net, [F(-1)]) == ((0,), (0,))
 
 
+def one_layer_signatures(weights, biases, box=BOX10):
+    """The first-layer signatures a one-layer network attains in the box."""
+    net = ReluNetwork(len(weights[0]), (ReluLayer(weights, biases),))
+    return {s for (s,) in enumerate_regions(net, box).multisignatures}
+
+
+class TestFeasible:
+    """Which sign patterns the region LP admits, on edge-case rows."""
+
+    def test_empty_system_is_the_box(self):
+        # zero rows with positive offsets cut nothing: one region, all active
+        assert one_layer_signatures([[0, 0], [0, 0]], [1, 2]) == {(1, 1)}
+
+    def test_binding_nonstrict_is_feasible(self):
+        # x <= 0 and -x <= 0 leave exactly x = 0
+        assert (0, 0) in one_layer_signatures([[1], [-1]], [0, 0])
+
+    def test_opposite_strict_pair_is_empty(self):
+        # x > 0 and -x > 0 leave nothing
+        assert (1, 1) not in one_layer_signatures([[1], [-1]], [0, 0])
+
+    def test_strict_zero_row_is_empty(self):
+        # 0 > 0 is feasible for the LP but its optimum is t* = 0
+        assert (1,) not in one_layer_signatures([[0]], [0])
+
+    def test_nonstrict_zero_row_is_full(self):
+        # 0 <= 0 holds on both sides of the other unit's hyperplane
+        assert one_layer_signatures([[0], [1]], [0, 0]) == {(0, 0), (0, 1)}
+
+    def test_strict_zero_row_with_positive_offset_is_full(self):
+        assert one_layer_signatures([[0]], [1]) == {(1,)}
+
+
 class TestRegionLP:
     """The region LP's emptiness test, seen through one-layer enumerations."""
 
@@ -101,23 +134,17 @@ class TestRegionLP:
         pytest.param([[1, 0], [1, 0]], [0, 0], BOX10, {(0, 0), (1, 1)}, id="coincident"),
         pytest.param([[1, 0], [0, 1]], [0, 0], BOX10, {(0, 0), (0, 1), (1, 0), (1, 1)},
                      id="mixed"),
-        # x <= 0 and -x <= 0 leave x = 0; x > 0 and -x > 0 leave nothing
-        pytest.param([[1], [-1]], [0, 0], BOX10, {(0, 0), (0, 1), (1, 0)}, id="opposite"),
-        # 0 > 0 is feasible for the LP but its optimum is t* = 0
-        pytest.param([[0]], [0], BOX10, {(0,)}, id="zero_row"),
-        pytest.param([[0]], [1], BOX10, {(1,)}, id="zero_row_positive_offset"),
         # x > 3 is empty inside box radius 2
         pytest.param([[1]], [-3], BOX10, {(0,), (1,)}, id="threshold_inside_box"),
         pytest.param([[1]], [-3], F(2), {(0,)}, id="threshold_outside_box"),
         pytest.param([[1]], [0], F(0), ValueError, id="zero_radius"),
     ])
     def test_one_layer(self, weights, biases, box, expected):
-        net = ReluNetwork(len(weights[0]), (ReluLayer(weights, biases),))
         if expected is ValueError:
             with pytest.raises(ValueError, match="box radius must be positive"):
-                enumerate_regions(net, box)
+                one_layer_signatures(weights, biases, box)
         else:
-            assert {s for (s,) in enumerate_regions(net, box).multisignatures} == expected
+            assert one_layer_signatures(weights, biases, box) == expected
 
 
 class TestTriangleFixture:
