@@ -250,6 +250,26 @@ class TestEnumeration:
         assert all(n == 0 for holds, n in cost if holds)
         assert {holds for holds, _ in cost} == {True, False}
 
+    def test_bland_path_is_pinned(self, monkeypatch):
+        """Regions, LPs and simplex pivots of one seeded depth-3 enumeration:
+        a change to the tableau's arithmetic must not change Bland's path."""
+        lps = []
+        pivots = []
+        solve_max, pivot = empirical.solve_max, simplex._pivot
+
+        def counting_pivot(*args):
+            pivots.append(args[1:])
+            return pivot(*args)
+
+        def counting_solve(*args):
+            lps.append(None)
+            return solve_max(*args)
+
+        monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+        monkeypatch.setattr(empirical, "solve_max", counting_solve)
+        result = enumerate_regions(random_network(Architecture(3, (5, 5, 5)), 7))
+        assert (result.count, len(lps), len(pivots)) == (302, 2450, 2134)
+
 
 class TestWitnesses:
     def test_witnesses_on_degenerate_networks(self):
