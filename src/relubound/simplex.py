@@ -1,15 +1,21 @@
-"""Warm-started simplex on a condensed tableau, in exact rational arithmetic.
+"""Warm-started simplex on a fraction-free condensed tableau.
 
-Maximizes c.z subject to A z <= b, z >= 0. All arithmetic is in
-fractions.Fraction and every comparison is against literal zero, so the
-answer is exact and Bland's rule guarantees termination.
+Maximizes c.z subject to A z <= b, z >= 0. The tableau holds Python ints
+over one common denominator ``d > 0``, the basis determinant's absolute
+value (Edmonds 1967; Bareiss 1968), so a pivot divides exactly and no
+entry needs a gcd. Every sign test compares an int with zero, so the
+answer is exact and Bland's rule guarantees termination; only the results
+are ``Fraction``s.
 
 Variables carry labels: 0..n-1 structural, then one slack per row in the
 order the rows arrive. The condensed ("dictionary") tableau keeps one row
 per basic variable and one column per nonbasic variable; row i reads
-basis[i] + sum_j row[j] * nonbasic[j] = row[-1], and the objective row
-reads value + sum_j obj[j] * nonbasic[j] = obj[-1]. A pivot swaps one
-basic and one nonbasic label, so unit columns are never stored.
+d * basis[i] + sum_j row[j] * nonbasic[j] = row[-1], and the objective
+row reads d * value / scale + sum_j obj[j] * nonbasic[j] = obj[-1]. Each
+row and the objective enter scaled to coprime ints by a positive factor,
+which only rescales that row's slack (or the value, by ``scale``), so the
+sign tests, dual ratios, Bland's path and solution are those of the
+rational rows.
 
 ``capped`` solves the start, max c.z under caps z <= u, without phase 1;
 ``solve_max`` appends rows to an optimal, hence dual feasible, tableau
@@ -20,6 +26,7 @@ prove the rows infeasible. A row that holds at the optimum costs no pivot.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -29,33 +36,46 @@ INFEASIBLE = "infeasible"
 class Tableau:
     """An optimal condensed tableau over ``n`` structural variables."""
 
-    __slots__ = ("n", "table", "obj", "basis", "nonbasic")
+    __slots__ = ("n", "table", "obj", "basis", "nonbasic", "d", "scale")
 
-    def __init__(self, n, table, obj, basis, nonbasic):
+    def __init__(self, n, table, obj, basis, nonbasic, d, scale):
         self.n, self.table, self.obj = n, table, obj
         self.basis, self.nonbasic = basis, nonbasic
+        self.d, self.scale = d, scale
 
     def copy(self) -> Tableau:
-        # _pivot replaces rows and never edits one, so copies share them.
-        return Tableau(self.n, self.table[:], self.obj, self.basis[:], self.nonbasic[:])
+        # _pivot builds new rows and never edits one, so copies share rows
+        # until a pivot replaces them (every row, unless |p| = d and f = 0).
+        return Tableau(self.n, self.table[:], self.obj, self.basis[:],
+                       self.nonbasic[:], self.d, self.scale)
 
     def point(self) -> list[Fraction]:
         """The structural variables' values at the current basic solution."""
         z = [Fraction(0)] * self.n
         for v, row in zip(self.basis, self.table):
             if v < self.n:
-                z[v] = row[-1]
+                z[v] = Fraction(row[-1], self.d)
         return z
+
+
+def _coprime(values: Sequence) -> tuple[list[int], Fraction]:
+    """Coprime ints k and the factor s > 0 with values = s * k, for
+    rationals given as ints or Fractions (all zero: k = values, s = 1)."""
+    m = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (m // x.denominator) for x in values]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints], Fraction(g, m)
 
 
 def capped(objective: Sequence, caps: Sequence) -> Tableau:
     """Optimal tableau of max c.z s.t. z <= caps, z >= 0 (every cap >= 0):
     each z_j with c_j > 0 enters at its own cap row j in one primal pivot."""
     n = len(objective)
-    table = [[Fraction(int(i == j)) for j in range(n)] + [Fraction(cap)]
+    # Cap row i, z_i <= p/q, enters as q z_i <= p.
+    table = [[cap.denominator * (i == j) for j in range(n)] + [cap.numerator]
              for i, cap in enumerate(caps)]
-    obj = [-Fraction(c) for c in objective] + [Fraction(0)]
-    tab = Tableau(n, table, obj, list(range(n, 2 * n)), list(range(n)))
+    obj, scale = _coprime([-c for c in objective] + [0])
+    tab = Tableau(n, table, obj, list(range(n, 2 * n)), list(range(n)), 1, scale)
     for j, c in enumerate(objective):
         if c > 0:
             _pivot(tab, j, j)
@@ -67,47 +87,59 @@ def solve_max(tab: Tableau, rows: Sequence[Sequence]):
     tableau ``tab`` and re-optimize it in place. Returns (status, value,
     solution), with value and solution None unless status is "optimal".
     """
-    n, table, basis = tab.n, tab.table, tab.basis
+    n, table, basis, nonbasic = tab.n, tab.table, tab.basis, tab.nonbasic
     for a in rows:
-        new = [Fraction(a[v]) if v < n else Fraction(0) for v in tab.nonbasic]
-        new.append(Fraction(a[-1]))
+        a, _ = _coprime(a)
+        d = tab.d
+        new = [a[v] * d if v < n else 0 for v in nonbasic]
+        new.append(a[-1] * d)
         # Substitute each basic structural variable by its row.
         for v, row in zip(basis, table):
             if v < n and a[v]:
                 new = [x - a[v] * y for x, y in zip(new, row)]
-        basis.append(len(basis) + len(tab.nonbasic))
+        basis.append(len(basis) + len(nonbasic))
         table.append(new)
     while True:
         low = [i for i, row in enumerate(table) if row[-1] < 0]
         if not low:
-            return OPTIMAL, tab.obj[-1], tab.point()
+            return OPTIMAL, Fraction(tab.obj[-1], tab.d) * tab.scale, tab.point()
         r = min(low, key=basis.__getitem__)
-        row = table[r]
-        cols = [j for j, a in enumerate(row[:-1]) if a < 0]
-        if not cols:
+        row, obj = table[r], tab.obj
+        # Dual ratio test: least obj[j] / -row[j] over row[j] < 0 (d cancels),
+        # cross-multiplied; ties enter by the smallest nonbasic label.
+        e = None
+        for j, a in enumerate(row[:-1]):
+            if a < 0 and (e is None or
+                          (obj[j] * row[e], nonbasic[e]) > (obj[e] * a, nonbasic[j])):
+                e = j
+        if e is None:
             return INFEASIBLE, None, None
-        # Dual ratio test; ties enter by the smallest nonbasic label.
-        e = min(cols, key=lambda j: (tab.obj[j] / -row[j], tab.nonbasic[j]))
         _pivot(tab, r, e)
 
 
 def _pivot(tab: Tableau, r: int, e: int) -> None:
     """Exchange basis[r] and nonbasic[e]; eliminate column e from the other rows.
 
-    Rows are replaced, never edited, so tableau copies may share them.
+    With s the sign of table[r][e], y = s * table[r] and p = y[e] = |pivot|:
+    row r becomes y with entry e = s * d; every other row x with entry f in
+    column e becomes (x * p - f * y) // d, exactly, with entry e = -s * f;
+    then d = p, so d stays positive.
     """
-    piv = tab.table[r][e]
-    row = [x / piv for x in tab.table[r]]
-    row[e] = 1 / piv
+    d, row = tab.d, tab.table[r]
+    sign = 1 if row[e] > 0 else -1
+    row = [sign * x for x in row]
+    p = row[e]
 
     def eliminate(other):
         f = other[e]
         if not f:
-            return other
-        new = [x - f * y for x, y in zip(other, row)]
-        new[e] = -f * row[e]
+            return other if p == d else [x * p // d for x in other]
+        new = [(x * p - f * y) // d for x, y in zip(other, row)]
+        new[e] = -sign * f
         return new
 
     tab.table[:] = [row if i == r else eliminate(other) for i, other in enumerate(tab.table)]
     tab.obj = eliminate(tab.obj)
+    row[e] = sign * d
+    tab.d = p
     tab.basis[r], tab.nonbasic[e] = tab.nonbasic[e], tab.basis[r]

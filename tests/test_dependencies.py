@@ -1,5 +1,6 @@
-"""Import rules: the package imports only the standard library, and its
-bound half imports nothing from the enumerator side."""
+"""Source rules: the package imports only the standard library, its
+bound half imports nothing from the enumerator side, and the simplex
+uses only exact arithmetic."""
 
 import ast
 import sys
@@ -57,3 +58,18 @@ def test_bound_half_does_not_import_the_enumerator():
         if name in ENUMERATOR_SIDE
     }
     assert not reached, f"bound-half modules import the enumerator side: {sorted(reached)}"
+
+
+def test_simplex_is_exact():
+    """The simplex divides only by ``//`` or ``Fraction(num, den)``: no true
+    division and no float anywhere in the module."""
+    path = next(path for path in SOURCES if path.stem == "simplex")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+    assert not found, f"inexact arithmetic in simplex.py: {found}"

@@ -93,11 +93,25 @@ def test_sample_is_degenerate():
     assert zero_rows and coincident and opposite and box_matters
 
 
-@pytest.mark.parametrize("radius", [F(10), F(10 ** 6)])
+def assert_matches_oracle(layers, radius, seed):
+    net = ReluNetwork(1, tuple(ReluLayer(w, b) for w, b in layers))
+    assert enumerate_regions(net, radius).multisignatures == line_multisignatures(
+        layers, radius
+    ), seed
+
+
+@pytest.mark.parametrize("radius", [F(10), F(10 ** 6), F(7, 3)])
 def test_enumeration_matches_oracle(radius):
     for seed in SEEDS:
-        layers = degenerate_layers(seed)
-        net = ReluNetwork(1, tuple(ReluLayer(w, b) for w, b in layers))
-        assert enumerate_regions(net, radius).multisignatures == line_multisignatures(
-            layers, radius
-        ), seed
+        assert_matches_oracle(degenerate_layers(seed), radius, seed)
+
+
+@pytest.mark.parametrize("radius", [F(10), F(10 ** 6)])
+@pytest.mark.parametrize("scale", [F(10) ** 40, F(10) ** -40], ids=["1e40", "1e-40"])
+def test_scaled_weights_match_oracle(scale, radius):
+    """Every weight and bias times 10^40 or 10^-40: very large and very
+    small rationals in every LP row."""
+    for seed in SEEDS:
+        layers = [([[scale * w for w in row] for row in weights], [scale * b for b in biases])
+                  for weights, biases in degenerate_layers(seed)]
+        assert_matches_oracle(layers, radius, seed)

@@ -161,11 +161,13 @@ class AppendChecker:
         self.rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
         self.rhs = [cap] * n
         self.tab = capped(objective, self.rhs)
+        assert self.tab.d > 0
 
     def append(self, row, b):
         self.rows.append(list(row))
         self.rhs.append(b)
         status, value, sol = solve_max(self.tab, [list(row) + [b]])
+        assert self.tab.d > 0
         assert (status, value) == vertex_oracle(self.objective, self.rows, self.rhs)
         if status == OPTIMAL:
             assert all(x >= 0 for x in sol)
@@ -201,6 +203,26 @@ class TestVertexOracle:
         assert statuses == {OPTIMAL, INFEASIBLE}
         # Appends that kept the optimum, took one dual pivot and took more.
         assert costs == {0, 1, 2}
+
+    def test_random_rational_lps(self):
+        """Objectives, caps and rows with denominators 1-7, so every row the
+        tableau takes in is scaled to integers first."""
+        rng = random.Random(1)
+
+        def rational(lo, hi):
+            den = rng.randint(1, 7)
+            return F(rng.randint(lo * den, hi * den), den)
+
+        statuses = set()
+        for _ in range(60):
+            n, m = rng.randint(1, 3), rng.randint(1, 5)
+            lp = AppendChecker([rational(-3, 3) for _ in range(n)], rational(0, 5))
+            for _ in range(m):
+                status, _, _ = lp.append([rational(-3, 3) for _ in range(n)], rational(-2, 4))
+                statuses.add(status)
+                if status == INFEASIBLE:
+                    break
+        assert statuses == {OPTIMAL, INFEASIBLE}
 
 
 class TestAppendedRows:
