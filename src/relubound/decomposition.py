@@ -2,10 +2,12 @@
 
 The binomial bound matrix of width n equals the size-(n+1) template matrix
 C, which factors through an explicitly known upper-triangular P and a
-near-diagonal J. Powers of J have a closed form (diagonal powers plus one
-antidiagonal of derivative-style terms), which gives closed-form matrix
-powers and a closed-form l1 norm of any column of B^l. That norm is what
-makes the asymptotic comparison of growth bases exact.
+near-diagonal J. All four templates, P, J^l, P^-1 and C, come from one walk
+over the rows, and the rule that assigns each row its eigenvalue is stated
+on JordanLikeDecomposition. Powers of J have a closed form (diagonal powers
+plus one antidiagonal of derivative-style terms), which gives closed-form
+matrix powers and a closed-form l1 norm of any column of B^l. That norm is
+what makes the asymptotic comparison of growth bases exact.
 
 Size convention: build_decomposition(N) produces size-N matrices whose
 xi values are partial binomial-row sums of N-1, so the width-n bound
@@ -24,17 +26,21 @@ from .bound_matrices import build_bound_matrix, stirling_exponent
 from .gamma import BINOMIAL
 
 IntMatrix = tuple[tuple[int, ...], ...]
-FracMatrix = tuple[tuple[Fraction, ...], ...]
+FracMatrix = tuple[tuple[int | Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
 class JordanLikeDecomposition:
     """Size-n exact factorization C = P J P^-1.
 
-    xi[j-1] holds xi_j = sum_{i<j} C(n-1, i) for j = 1..ceil(n/2); P and
-    P_inv are upper triangular; J is diagonal plus one antidiagonal of
-    units. C, P and J are integer by construction; P_inv, the only matrix
-    with non-integer entries, holds exact rationals.
+    xi[k-1] holds x_k = sum_{i<k} C(n-1, i) for k = 1..ceil(n/2); x_0 = 0.
+    Row i (0-indexed) belongs to the eigenvalue x_k with k = min(i+1, n-i),
+    which C and J hold on the diagonal; its step is x_k - x_{k-1}. A row
+    with i < n // 2 is one half of a pair coupled by J's antidiagonal unit:
+    P scales it by the step, P_inv by 1/step, and C holds the step from
+    column n-1-i on. Every later row has 1 on P's diagonal and -1 to its
+    right, ones in P_inv from the diagonal on, and the step right of C's
+    diagonal. C, P and J are integer; P_inv's 1/step entries are Fractions.
     """
 
     n: int
@@ -54,67 +60,29 @@ def _xi_values(size: int) -> tuple[int, ...]:
     )
 
 
-def _build_C(size: int, xi: Sequence[int]) -> IntMatrix:
-    x = (0,) + tuple(xi)  # 1-indexed with x[0] = 0 so first differences work
-    m = size // 2
+def _templates(size: int, l: int) -> tuple[IntMatrix, IntMatrix, FracMatrix, IntMatrix]:
+    """P, J^l, P^-1 and C of the given size, built in one walk over the rows."""
+    x = (0,) + _xi_values(size)  # x[0] = 0 gives x_1 its step too
     rows = []
-    for i in range(1, size + 1):
-        row = [0] * size
-        if i <= m:
-            row[i - 1] = x[i]
-            for j in range(size + 1 - i, size + 1):
-                row[j - 1] = x[i] - x[i - 1]
+    for i in range(size):
+        k = min(i + 1, size - i)
+        step = x[k] - x[k - 1]
+        p, j, q, c = ([0] * size for _ in range(4))
+        j[i], c[i] = x[k] ** l, x[k]
+        if i < size // 2:
+            # Rows i and size-1-i share x_k, so the l-th power of their
+            # antidiagonal unit carries the usual l * x_k^(l-1) term.
+            j[size - 1 - i] = l * x[k] ** (l - 1)
+            p[i], q[i] = step, Fraction(1, step)
+            c[size - 1 - i:] = [step] * (i + 1)
         else:
-            row[i - 1] = x[size + 1 - i]
-            for j in range(i + 1, size + 1):
-                row[j - 1] = x[size + 1 - i] - x[size - i]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _build_P(size: int, xi: Sequence[int]) -> IntMatrix:
-    x = (0,) + tuple(xi)
-    m = size // 2
-    rows = []
-    for i in range(1, size + 1):
-        row = [0] * size
-        if i <= m:
-            row[i - 1] = x[i] - x[i - 1]
-        else:
-            row[i - 1] = 1
-            if i < size:
-                row[i] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _build_P_inv(size: int, xi: Sequence[int]) -> FracMatrix:
-    x = (0,) + tuple(xi)
-    m = size // 2
-    rows = []
-    for i in range(1, size + 1):
-        row = [Fraction(0)] * size
-        if i <= m:
-            row[i - 1] = Fraction(1, x[i] - x[i - 1])
-        else:
-            for j in range(i, size + 1):
-                row[j - 1] = Fraction(1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _build_J_power(size: int, xi: Sequence[int], l: int) -> IntMatrix:
-    x = (0,) + tuple(xi)
-    rows = []
-    for i in range(1, size + 1):
-        row = [0] * size
-        row[i - 1] = x[min(i, size + 1 - i)] ** l
-        if i <= size // 2:
-            # The antidiagonal unit couples two equal diagonal entries, so
-            # the l-th power carries the usual l * lambda^(l-1) term.
-            row[size - i] = l * x[i] ** (l - 1)
-        rows.append(tuple(row))
-    return tuple(rows)
+            p[i] = 1
+            if i + 1 < size:
+                p[i + 1] = -1
+            q[i:] = [1] * (size - i)
+            c[i + 1:] = [step] * (size - 1 - i)
+        rows.append((p, j, q, c))
+    return tuple(tuple(tuple(row) for row in m) for m in zip(*rows))
 
 
 def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
@@ -133,15 +101,15 @@ def build_decomposition(n: int) -> JordanLikeDecomposition:
     """Size-n template matrices; n >= 1."""
     if n < 1:
         raise ValueError("dimension out of range")
-    xi = _xi_values(n)
+    P, J, P_inv, C = _templates(n, 1)
     return JordanLikeDecomposition(
         n=n,
         parity="even" if n % 2 == 0 else "odd",
-        xi=xi,
-        P=_build_P(n, xi),
-        J=_build_J_power(n, xi, 1),
-        P_inv=_build_P_inv(n, xi),
-        C=_build_C(n, xi),
+        xi=_xi_values(n),
+        P=P,
+        J=J,
+        P_inv=P_inv,
+        C=C,
     )
 
 
@@ -154,7 +122,7 @@ def power_J(n: int, l: int) -> IntMatrix:
     """Closed-form l-th power of the size-n J template."""
     if n < 1 or l < 1:
         raise ValueError("dimension out of range")
-    return _build_J_power(n, _xi_values(n), l)
+    return _templates(n, l)[1]
 
 
 def power_B(n: int, l: int) -> IntMatrix:
@@ -165,8 +133,8 @@ def power_B(n: int, l: int) -> IntMatrix:
     """
     if n < 1 or l < 1:
         raise ValueError("dimension out of range")
-    dec = build_decomposition(n + 1)
-    prod = _matmul(_matmul(dec.P, _build_J_power(dec.n, dec.xi, l)), dec.P_inv)
+    P, J, P_inv, _ = _templates(n + 1, l)
+    prod = _matmul(_matmul(P, J), P_inv)
     if any(entry.denominator != 1 for row in prod for entry in row):
         raise RuntimeError("decomposition inconsistency")
     return tuple(tuple(int(entry) for entry in row) for row in prod)

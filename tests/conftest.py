@@ -1,8 +1,36 @@
-"""Shared hypothesis strategies for histogram-valued properties."""
+"""Shared hypothesis strategies for histogram-valued properties, and a
+session-wide guard that turns a simplex that cycles into a failure."""
 
+import pytest
 from hypothesis import strategies as st
 
-from relubound import Histogram
+from relubound import Histogram, simplex
+
+# Bland's rule terminates, and no LP in the suite needs more than a handful of
+# pivots; a run this long on one tableau means _pivot or the rule is broken.
+MAX_PIVOTS_IN_A_ROW = 10_000
+
+
+@pytest.fixture(scope="session", autouse=True)
+def pivot_guard():
+    """Fail, instead of hanging, once one tableau is pivoted too often in a row.
+
+    Session scope, so that module-scoped fixtures which enumerate regions
+    run under the guard too.
+    """
+    pivot = simplex._pivot
+    last = [None, 0]  # the tableau pivoted last, and its pivots in a row
+
+    def guarded(tab, r, e):
+        last[:] = [tab, last[1] + 1 if last[0] is tab else 1]
+        assert last[1] <= MAX_PIVOTS_IN_A_ROW, (
+            f"more than {MAX_PIVOTS_IN_A_ROW} pivots in a row on one tableau"
+        )
+        return pivot(tab, r, e)
+
+    simplex._pivot = guarded
+    yield
+    simplex._pivot = pivot
 
 
 @st.composite

@@ -303,6 +303,21 @@ class TestArgumentErrors:
         assert main(["count", "--triangle", "down", "--box-radius", "0"]) == 1
         assert "error: box radius must be positive" in capsys.readouterr().err
 
+    # A dimension past the index range; bound without --gamma and decompose
+    # are left out, since 2 ** sum(widths) and the xi table would allocate.
+    @pytest.mark.parametrize("argv", [
+        "bound --n0 2 --widths 99999999999999999999 --gamma zaslavsky",
+        "bound --n0 99999999999999999999 --widths 3 --gamma binomial",
+        "table --n 99999999999999999999 --l-max 1",
+        "matrix --gamma binomial --n 99999999999999999999",
+    ])
+    def test_dimension_past_index_range(self, argv, capsys):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+
     def test_missing_required(self):
         with pytest.raises(SystemExit):
             main(["bound", "--widths", "3"])
