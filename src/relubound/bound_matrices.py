@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .gamma import GammaCollection
 from .histogram import unit
-from .transition import Architecture, layer_step, phi
+from .transition import Architecture, check_index_range, layer_step, phi
 
 Row = tuple[int, ...]
 
@@ -47,6 +47,7 @@ class ConnectorMatrix:
 def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
     if n_prime < 1:
         raise ValueError("dimension out of range")
+    check_index_range(n_prime)
     size = n_prime + 1
     cols = [(phi(g, n_prime, unit(j)).counts + (0,) * size)[:size] for j in range(size)]
     return BoundMatrix(n_prime, tuple(zip(*cols)))

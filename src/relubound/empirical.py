@@ -1,10 +1,12 @@
 """Exact region enumeration for small ReLU networks with rational weights.
 
-This is the ground-truth side of the package: networks are evaluated in
-exact rational arithmetic, a region is nonempty iff an exact LP says so,
-and the enumerator walks layers breadth-first keeping one record per
-attained signature prefix. Regions where some inactive unit sits exactly
-on its hyperplane are lower-dimensional but nonempty, and they count.
+This is the ground-truth side of the package: a region is nonempty iff an
+exact LP says so, and the enumerator walks layers breadth-first keeping one
+record per attained signature prefix, in ints: each layer is scaled to ints
+once per call and a region's affine rows are int numerators over one
+denominator; only witnesses and LP values are ``Fraction``s. Regions where
+some inactive unit sits exactly on its hyperplane are lower-dimensional but
+nonempty, and they count.
 
 Everything is restricted to a box [-R, R]^n0 (default R = 10^6) so every
 LP is bounded; regions lying entirely outside the box are missed, which is
@@ -18,6 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -32,9 +35,9 @@ from .transition import Architecture, dimension_histogram, phi
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-# Each active unit k of a layer with its pre-activation (a_1, ..., a_n0, c)
-# in the region LP's coordinates z = x + R.
-Live = tuple[tuple[int, Vector], ...]
+# (D, rows): each active unit k of a layer with its pre-activation's int numerators
+# (A_1, ..., A_n0, C) over D > 0, in the region LP's coordinates z = x + R.
+Live = tuple[int, tuple[tuple[int, Sequence[int]], ...]]
 
 DEFAULT_BOX_RADIUS = Fraction(10 ** 6)
 
@@ -151,12 +154,12 @@ def _root_tableau(radius: Fraction, n_vars: int) -> Tableau:
     return capped([0] * n_vars + [1], [2 * radius] * n_vars + [1])
 
 
-def _cut(tab: Tableau, f: Vector, bit: int) -> Tableau | None:
-    """The child LP: ``tab`` plus the row of f = (a, c), a.z + c >= t if
-    bit is 1 and a.z + c <= 0 if it is 0; None if the child is empty,
-    that is unless the LP is optimal with t* > 0."""
+def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
+    """The child LP: ``tab`` plus the row of f = (a, c) over d > 0,
+    a.z + c >= d t if bit is 1 and a.z + c <= 0 if it is 0, both in ints;
+    None if the child is empty, that is unless the LP is optimal with t* > 0."""
     *a, c = f
-    row = [*(-x for x in a), 1, c] if bit else [*a, 0, -c]
+    row = [*(-x for x in a), d, c] if bit else [*a, 0, -c]
     child = tab.copy()
     status, value, _ = solve_max(child, [row])
     return child if status == OPTIMAL and value > 0 else None
@@ -189,37 +192,41 @@ def _expand_region(
     region: RegionRecord,
     tableau: Tableau,
     live: Live,
-    layer: ReluLayer,
+    layer: tuple[int, list[list[int]], list[int]],
     radius: Fraction,
 ) -> list[tuple[RegionRecord, Tableau, Live]]:
     """All feasible extensions of one region by one layer, each with its LP
     and the ``live`` rows of its active units.
 
     ``live`` pairs each active unit k of the previous layer with its
-    pre-activation (a_1, ..., a_n0, c) on the region, already in the LP's
-    coordinates z = x + R (the shift is made once, in the root's rows), so
-    the layer's pre-activations composed from them are LP rows as they
-    stand; inactive units output 0 and cost nothing. Walks the units
-    depth-first, and every child goes through one ``_cut`` of its parent's
-    optimal ``tableau``, so empty bit prefixes are pruned early and no LP is
-    rebuilt.
+    pre-activation (a_1, ..., a_n0, c) on the region as int numerators over
+    one denominator, already in the LP's coordinates z = x + R (the shift is
+    made once, in the root's rows). With ``layer`` = (q, W q, b q) in ints,
+    the pre-activations composed from them, over q times that denominator,
+    are LP rows as they stand; inactive units output 0 and cost nothing.
+    Walks the units depth-first, and every child goes through one ``_cut``
+    of its parent's optimal ``tableau``, so empty bit prefixes are pruned
+    early and no LP is rebuilt.
     """
+    d, rows = live
+    q, weights, biases = layer
     columns = range(len(region.witness) + 1)
     funcs = []
-    for w_row, b in zip(layer.weights, layer.biases):
-        f = [sum(w_row[k] * g[j] for k, g in live) for j in columns]
-        f[-1] += b
-        funcs.append(tuple(f))
+    for w_row, b in zip(weights, biases):
+        f = [sum(w_row[k] * g[j] for k, g in rows) for j in columns]
+        f[-1] += b * d
+        funcs.append(f)
+    d *= q
     out: list[tuple[RegionRecord, Tableau, Live]] = []
 
     def descend(i: int, bits: tuple[int, ...], tab: Tableau) -> None:
         if i == len(funcs):
             witness = tuple(v - radius for v in tab.point()[:-1])
             active = tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)
-            out.append((RegionRecord(region.prefix + (bits,), witness), tab, active))
+            out.append((RegionRecord(region.prefix + (bits,), witness), tab, (d, active)))
             return
         for bit in (0, 1):
-            if (child := _cut(tab, funcs[i], bit)) is not None:
+            if (child := _cut(tab, funcs[i], d, bit)) is not None:
                 descend(i + 1, bits + (bit,), child)
 
     # No solve at the root: the previous layer's leaf LP (or, for the input
@@ -239,16 +246,21 @@ def enumerate_regions(
     radius = _box_radius(box_radius)
     n0 = net.n0
     root = RegionRecord(prefix=(), witness=(Fraction(0),) * n0)
-    # The input coordinates are the root's active units: x_j = e_j.z - R.
-    identity = tuple((j, tuple(int(i == j) for i in range(n0)) + (-radius,))
-                     for j in range(n0))
+    # The root's active units are the inputs: x_j = (den e_j.z - num) / den.
+    num, den = radius.as_integer_ratio()
+    identity = (den, tuple((j, tuple(den * (i == j) for i in range(n0)) + (-num,))
+                           for j in range(n0)))
     # Each region travels with its optimal LP and its live rows; the
     # records returned keep neither.
     regions = [(root, _root_tableau(radius, n0), identity)]
     layer_sets: list[frozenset[MultiSignature]] = []
     for layer in net.layers:
+        # The layer in ints, made per call: W q and b q, q the lcm of its denominators.
+        rows = (*layer.weights, layer.biases)
+        q = lcm(*(x.denominator for row in rows for x in row))
+        *w, b = ([x.numerator * (q // x.denominator) for x in row] for row in rows)
         regions = [child for r, tab, live in regions
-                   for child in _expand_region(r, tab, live, layer, radius)]
+                   for child in _expand_region(r, tab, live, (q, w, b), radius)]
         layer_sets.append(frozenset(r.prefix for r, _, _ in regions))
     return EnumerationResult(tuple(layer_sets), tuple(r for r, _, _ in regions))
 

@@ -11,11 +11,11 @@ Variables carry labels: 0..n-1 structural, then one slack per row in the
 order the rows arrive. The condensed ("dictionary") tableau keeps one row
 per basic variable and one column per nonbasic variable; row i reads
 d * basis[i] + sum_j row[j] * nonbasic[j] = row[-1], and the objective
-row reads d * value / scale + sum_j obj[j] * nonbasic[j] = obj[-1]. Each
-row and the objective enter scaled to coprime ints by a positive factor,
-which only rescales that row's slack (or the value, by ``scale``), so the
-sign tests, dual ratios, Bland's path and solution are those of the
-rational rows.
+row reads d * value * m / g + sum_j obj[j] * nonbasic[j] = obj[-1], with
+``scale`` = (g, m). Each row and the objective enter scaled to coprime ints
+by a positive factor, which only rescales that row's slack (or the value,
+by g / m), so the sign tests, dual ratios, Bland's path and solution are
+those of the rational rows.
 
 ``capped`` solves the start, max c.z under caps z <= u, without phase 1;
 ``solve_max`` appends rows to an optimal, hence dual feasible, tableau
@@ -58,13 +58,13 @@ class Tableau:
         return z
 
 
-def _coprime(values: Sequence) -> tuple[list[int], Fraction]:
-    """Coprime ints k and the factor s > 0 with values = s * k, for
-    rationals given as ints or Fractions (all zero: k = values, s = 1)."""
+def _coprime(values: Sequence) -> tuple[list[int], int, int]:
+    """Coprime ints k and ints g, m > 0 with values = k * g / m, for
+    rationals given as ints or Fractions (all zero: k = values, g = 1)."""
     m = lcm(*(x.denominator for x in values))
     ints = [x.numerator * (m // x.denominator) for x in values]
     g = gcd(*ints) or 1
-    return [x // g for x in ints], Fraction(g, m)
+    return [x // g for x in ints], g, m
 
 
 def capped(objective: Sequence, caps: Sequence) -> Tableau:
@@ -74,8 +74,8 @@ def capped(objective: Sequence, caps: Sequence) -> Tableau:
     # Cap row i, z_i <= p/q, enters as q z_i <= p.
     table = [[cap.denominator * (i == j) for j in range(n)] + [cap.numerator]
              for i, cap in enumerate(caps)]
-    obj, scale = _coprime([-c for c in objective] + [0])
-    tab = Tableau(n, table, obj, list(range(n, 2 * n)), list(range(n)), 1, scale)
+    obj, g, m = _coprime([-c for c in objective] + [0])
+    tab = Tableau(n, table, obj, list(range(n, 2 * n)), list(range(n)), 1, (g, m))
     for j, c in enumerate(objective):
         if c > 0:
             _pivot(tab, j, j)
@@ -89,7 +89,7 @@ def solve_max(tab: Tableau, rows: Sequence[Sequence]):
     """
     n, table, basis, nonbasic = tab.n, tab.table, tab.basis, tab.nonbasic
     for a in rows:
-        a, _ = _coprime(a)
+        a, _, _ = _coprime(a)
         d = tab.d
         new = [a[v] * d if v < n else 0 for v in nonbasic]
         new.append(a[-1] * d)
@@ -102,7 +102,8 @@ def solve_max(tab: Tableau, rows: Sequence[Sequence]):
     while True:
         low = [i for i, row in enumerate(table) if row[-1] < 0]
         if not low:
-            return OPTIMAL, Fraction(tab.obj[-1], tab.d) * tab.scale, tab.point()
+            g, m = tab.scale
+            return OPTIMAL, Fraction(tab.obj[-1] * g, tab.d * m), tab.point()
         r = min(low, key=basis.__getitem__)
         row, obj = table[r], tab.obj
         # Dual ratio test: least obj[j] / -row[j] over row[j] < 0 (d cancels),

@@ -8,6 +8,7 @@ bounds the number of attainable multi-signatures.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -30,6 +31,7 @@ class Architecture:
             raise ValueError("input dimension must be at least 1")
         if not self.widths or any(w < 1 for w in self.widths):
             raise ValueError("layer widths must be at least 1")
+        check_index_range(*self.dims())
 
     @property
     def depth(self) -> int:
@@ -38,6 +40,12 @@ class Architecture:
     def dims(self) -> tuple[int, ...]:
         """All dimensions (n0, n1, ..., nL) in order."""
         return (self.n0,) + self.widths
+
+
+def check_index_range(*dims: int) -> None:
+    """ValueError naming the first dimension past sys.maxsize, the longest list."""
+    if big := [d for d in dims if d > sys.maxsize]:
+        raise ValueError(f"dimension {big[0]} exceeds sys.maxsize ({sys.maxsize})")
 
 
 def layer_step(column: Callable, n_prime: int, vec: Sequence[int]) -> list[int]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -60,6 +61,10 @@ class TestBoundMatrix:
     def test_bad_width(self):
         with pytest.raises(ValueError, match="dimension out of range"):
             build_bound_matrix(BINOMIAL, 0)
+
+    def test_width_past_index_range(self):
+        with pytest.raises(ValueError, match=rf"dimension {sys.maxsize + 1} exceeds sys.maxsize"):
+            build_bound_matrix(BINOMIAL, sys.maxsize + 1)
 
 
 class TestConnector:

@@ -318,6 +318,17 @@ class TestArgumentErrors:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        "bound --n0 2 --widths 99999999999999999999 --gamma zaslavsky",
+        "bound --n0 99999999999999999999 --widths 3 --gamma binomial",
+        "table --n 99999999999999999999 --l-max 1",
+        "matrix --gamma binomial --n 99999999999999999999",
+    ])
+    def test_dimension_past_index_range_names_the_limit(self, argv, capsys):
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == (
+            f"error: dimension 99999999999999999999 exceeds sys.maxsize ({sys.maxsize})\n")
+
     def test_missing_required(self):
         with pytest.raises(SystemExit):
             main(["bound", "--widths", "3"])
@@ -347,7 +358,9 @@ class TestOutputAndFiles:
         assert main(["count", "--network", str(tmp_path / "absent.json")]) == 1
         assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
-    def test_closed_stdout_is_not_an_error(self, tmp_path, monkeypatch, capsys):
+    def test_closed_stdout_is_not_an_error(self, tmp_path, capsys, monkeypatch):
+        # capsys before monkeypatch: teardown runs in reverse, so monkeypatch
+        # puts back capsys's open stream before capsys restores the real one.
         fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
         monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
         try:

@@ -271,6 +271,57 @@ class TestEnumeration:
         assert (result.count, len(lps), len(pivots)) == (302, 2450, 2134)
 
 
+def scaled_network(net, s):
+    return ReluNetwork(net.n0, tuple(
+        ReluLayer([[s * w for w in row] for row in layer.weights], [s * b for b in layer.biases])
+        for layer in net.layers))
+
+
+# Integer weights and biases, so each layer's common denominator q is 1.
+INTEGER_NET = ReluNetwork(2, (ReluLayer([[1, -2], [3, 1]], [0, 1]), ReluLayer([[1, 1]], [-1])))
+# One unit that is off for x <= 0, so that region's next layer has no live rows.
+DEAD_FIRST_LAYER = ReluNetwork(1, (ReluLayer([[1]], [0]), ReluLayer([[1], [-1]], [1, F(-1, 2)])))
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("net, radius", [
+        (triangle_network(), BOX10),
+        (INTEGER_NET, BOX10),
+        (random_network(Architecture(2, (3, 2)), 4), F(7, 3)),
+        (DEAD_FIRST_LAYER, BOX10),
+        (scaled_network(random_network(Architecture(2, (3, 2)), 4), F(10) ** 40), BOX10),
+        (scaled_network(random_network(Architecture(2, (3, 2)), 4), F(10) ** -40), BOX10),
+    ], ids=["triangle", "integer-weights", "radius-7/3", "dead-first-layer", "1e40", "1e-40"])
+    def test_rows_are_ints(self, net, radius, monkeypatch):
+        """Every row handed to the simplex, and every live row and layer it
+        is composed from, is made of Python ints."""
+        rows, expansions = [], []
+        solve_max, expand = empirical.solve_max, empirical._expand_region
+
+        def recording_solve(tab, new_rows):
+            rows.extend(new_rows)
+            return solve_max(tab, new_rows)
+
+        def recording_expand(*args):
+            expansions.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(empirical, "solve_max", recording_solve)
+        monkeypatch.setattr(empirical, "_expand_region", recording_expand)
+        result = enumerate_regions(net, radius)
+        assert {signature_at(net, r.witness) for r in result.records} == result.multisignatures
+        assert rows and all(type(x) is int for row in rows for x in row)
+        lives = [args[2] for args in expansions]
+        assert all(type(d) is int and d > 0 for d, _ in lives)
+        assert all(type(x) is int for _, live in lives for _, g in live for x in g)
+        layers = [args[3] for args in expansions]
+        assert all(type(x) is int for q, w, b in layers for x in (q, *b, *sum(w, [])))
+        if net is INTEGER_NET:
+            assert {q for q, _, _ in layers} == {1}
+        if net is DEAD_FIRST_LAYER:
+            assert any(not live for _, live in lives)
+
+
 class TestWitnesses:
     def test_witnesses_on_degenerate_networks(self):
         """Every record's witness lies in the box and realizes its prefix."""

@@ -1,6 +1,7 @@
 """Transition map: pushing histograms through layers, composition, dims."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,12 @@ class TestArchitecture:
         for n0, widths in ((2, (3.7, 2)), (2, ("3",)), (True, (3,)), (2.5, (3,)), (2, (3, False))):
             with pytest.raises(ValueError, match="integers"):
                 Architecture(n0, widths)
+
+    def test_dimension_past_index_range(self):
+        for n0, widths in ((sys.maxsize + 1, (3,)), (2, (3, sys.maxsize + 1))):
+            with pytest.raises(ValueError, match=rf"dimension {sys.maxsize + 1} exceeds sys.maxsize"):
+                Architecture(n0, widths)
+        assert Architecture(sys.maxsize, (sys.maxsize,)).n0 == sys.maxsize
 
     def test_frozen(self):
         arch = Architecture(1, (1,))
