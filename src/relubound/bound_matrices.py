@@ -68,8 +68,9 @@ def bound_vectors(g: GammaCollection, arch: Architecture) -> Iterator[list[int]]
 
     B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer is one
     ``layer_step`` over B_{n'}'s columns; no connector or product is formed.
+    The first layer clamps n0 to n1, so the start is e_{min(n0, n1)+1}.
     """
-    vec = [0] * arch.n0 + [1]
+    vec = [0] * min(arch.n0, arch.widths[0]) + [1]
     cache: dict[int, list[Row]] = {}
     for width in arch.widths:
         if width not in cache:
@@ -91,10 +92,13 @@ def naive_bound(arch: Architecture) -> int:
 
 
 def montufar_bound(arch: Architecture) -> int:
-    """Product over layers of sum_{j<=min(n0..n_{l-1})} C(n_l, j)."""
+    """Product over layers of sum_{j<=min(n0..n_{l-1})} C(n_l, j).
+
+    Terms with j > n_l are zero, so each sum stops at min(n0..n_l).
+    """
     dims = arch.dims()
     return math.prod(
-        sum(math.comb(dims[l], j) for j in range(min(dims[:l]) + 1))
+        sum(math.comb(dims[l], j) for j in range(min(dims[: l + 1]) + 1))
         for l in range(1, len(dims))
     )
 
@@ -148,7 +152,7 @@ def montufar_lower_bound(arch: Architecture) -> int:
     """Constructive lower bound: prod_{l<L} floor(n_l/n0)^n0 times sum_{j<=n0} C(n_L, j)."""
     widths = arch.widths
     prod = math.prod((w // arch.n0) ** arch.n0 for w in widths[:-1])
-    return prod * sum(math.comb(widths[-1], j) for j in range(arch.n0 + 1))
+    return prod * sum(math.comb(widths[-1], j) for j in range(min(arch.n0, widths[-1]) + 1))
 
 
 def width_increases_somewhere(arch: Architecture) -> bool:

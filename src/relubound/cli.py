@@ -5,6 +5,10 @@ bound tables), matrix (one bound matrix), decompose (factor a binomial
 bound matrix), asymptotic (per-layer growth bases), count (exact region
 enumeration for a network).
 
+Each subcommand returns one record (a dict, or a list of dicts) and a
+callable building its table text only when that is printed; ``main``
+alone reads ``--format`` and writes the record as JSON, CSV or text.
+
 All integer output is exact and printed in full, however many digits it
 has. Identical flags and seed produce byte-identical output.
 """
@@ -33,7 +37,7 @@ from .bound_matrices import (
     width_increases_somewhere,
 )
 from .gamma import BINOMIAL, BUILTIN, ZASLAVSKY
-from .transition import Architecture
+from .transition import Architecture, check_index_range
 
 WIDTHS_SHORTHAND = re.compile(r"^(\d+):x(\d+)$")
 
@@ -45,6 +49,9 @@ def parse_widths(text: str) -> tuple[int, ...]:
         width, reps = int(m.group(1)), int(m.group(2))
         if reps < 1:
             raise argparse.ArgumentTypeError("repetition count must be positive")
+        if reps > sys.maxsize:
+            raise argparse.ArgumentTypeError(
+                f"repetition count {reps} exceeds sys.maxsize ({sys.maxsize})")
         return (width,) * reps
     try:
         return tuple(int(part) for part in text.split(","))
@@ -80,10 +87,6 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational: {text!r}")
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def format_matrix(rows) -> str:
     """Right-aligned grid of the entries' str() forms, one row per line."""
     cells = [[str(x) for x in row] for row in rows]
@@ -93,61 +96,33 @@ def format_matrix(rows) -> str:
     )
 
 
-def _emit_rows(fmt: str, rows: list[dict]) -> None:
-    """Records sharing one key order: an aligned grid, CSV with a header
-    line, or a JSON list."""
-    if fmt == "json":
-        _emit_json(rows)
-        return
-    cells = [tuple(rows[0])] + [tuple(r.values()) for r in rows]
-    if fmt == "csv":
-        for row in cells:
-            print(",".join(map(str, row)))
-    else:
-        print(format_matrix(cells))
-
-
 def _arch_line(arch: Architecture) -> str:
     return f"n0={arch.n0} widths={','.join(map(str, arch.widths))}"
 
 
-def _strictness_lines(arch: Architecture) -> list[str]:
-    widens = width_increases_somewhere(arch)
-    narrow = narrow_layer_somewhere(arch)
-    lines = []
-    if widens:
-        lines.append("montufar < naive: some layer is wider than its input")
-    else:
-        lines.append("montufar = naive: no layer is wider than its input")
-    if narrow:
-        lines.append(
-            "binomial < montufar: some hidden layer is narrower than the sum"
-            " of the running width minima on its two sides"
-        )
-    else:
-        lines.append(
-            "binomial = montufar: no hidden layer is narrower than the sum"
-            " of the running width minima on its two sides"
-        )
-    if widens or narrow:
-        lines.append("binomial < naive: at least one strictness condition holds")
-    else:
-        lines.append("binomial = naive: neither strictness condition holds")
-    return lines
+# (smaller bound, larger bound, reason if strict, reason if equal) for the
+# conditions widens, narrow and (widens or narrow) in turn.
+STRICTNESS = (
+    ("montufar", "naive", "some layer is wider than its input",
+     "no layer is wider than its input"),
+    ("binomial", "montufar",
+     "some hidden layer is narrower than the sum of the running width minima"
+     " on its two sides",
+     "no hidden layer is narrower than the sum of the running width minima"
+     " on its two sides"),
+    ("binomial", "naive", "at least one strictness condition holds",
+     "neither strictness condition holds"),
+)
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     arch = Architecture(args.n0, args.widths)
     head = {"n0": arch.n0, "widths": list(arch.widths)}
     if args.gamma is not None:
         g = BUILTIN[args.gamma]
         value = evaluate_bound(g, arch)
-        if args.format == "json":
-            _emit_json({**head, "gamma": g.name, "bound": value})
-        else:
-            print(_arch_line(arch))
-            print(f"{g.name}: {value}")
-        return 0
+        return ({**head, "gamma": g.name, "bound": value},
+                lambda: [_arch_line(arch), f"{g.name}: {value}"])
     values = {
         "naive": naive_bound(arch),
         "montufar": montufar_bound(arch),
@@ -155,25 +130,18 @@ def cmd_bound(args) -> int:
         "serra": serra_sum(arch),
         "lower": montufar_lower_bound(arch),
     }
-    if args.format == "json":
-        _emit_json(
-            {
-                **head,
-                **values,
-                "montufar_lt_naive": width_increases_somewhere(arch),
-                "binomial_lt_montufar": narrow_layer_somewhere(arch),
-            }
-        )
-        return 0
-    print(_arch_line(arch))
-    for name in ("naive", "montufar", "binomial", "serra", "lower"):
-        print(f"{name:9s}{values[name]}")
-    for line in _strictness_lines(arch):
-        print(line)
-    return 0
+    widens, narrow = width_increases_somewhere(arch), narrow_layer_somewhere(arch)
+    payload = {**head, **values, "montufar_lt_naive": widens, "binomial_lt_montufar": narrow}
+    return payload, lambda: [
+        _arch_line(arch),
+        *(f"{name:9s}{value}" for name, value in values.items()),
+        *(f"{low} {'<' if strict else '='} {high}: {yes if strict else no}"
+          for (low, high, yes, no), strict in zip(STRICTNESS, (widens, narrow, widens or narrow))),
+    ]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
+    check_index_range(args.l_max)
     rows = []
     for n0 in args.n0_list:
         arch = Architecture(n0, (args.n,) * args.l_max)
@@ -182,84 +150,48 @@ def cmd_table(args) -> int:
             {"n": args.n, "n0": n0, "L": length, "montufar": sum(z), "binomial": sum(b)}
             for length, (z, b) in enumerate(layers, start=1)
         ]
-    _emit_rows(args.format, rows)
-    return 0
+    return rows, lambda: [format_matrix([rows[0].keys(), *(r.values() for r in rows)])]
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args):
     g = BUILTIN[args.gamma]
     m = build_bound_matrix(g, args.n)
-    if args.format == "json":
-        _emit_json({"gamma": g.name, "n": args.n, "rows": m.rows})
-    else:
-        print(format_matrix(m.rows))
-    return 0
+    return {"gamma": g.name, "n": args.n, "rows": m.rows}, lambda: [format_matrix(m.rows)]
 
 
-def _frac_matrix_json(rows) -> list[list[str]]:
-    return [[str(x) for x in row] for row in rows]
-
-
-def cmd_decompose(args) -> int:
-    dec = decomposition.build_decomposition(args.n + 1)
+def cmd_decompose(args):
+    # The check first: it names --n itself when --n is past the index range.
     ok = decomposition.verify_B_equals_C(args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "size": dec.n,
-                "xi": list(dec.xi),
-                **{k: _frac_matrix_json(getattr(dec, k)) for k in ("C", "P", "J", "P_inv")},
-                "matches_bound_matrix": ok,
-            }
-        )
-        return 0 if ok else 1
-    print(f"binomial bound matrix of width {args.n}, factored as P J P^-1")
-    print(f"xi: {', '.join(map(str, dec.xi))}")
-    for label, rows in (("C", dec.C), ("P", dec.P), ("J", dec.J), ("P^-1", dec.P_inv)):
-        print(f"{label}:")
-        print(format_matrix(rows))
-    print(f"C equals the bound matrix: {ok}")
-    return 0 if ok else 1
-
-
-def cmd_asymptotic(args) -> int:
-    rep = decomposition.asymptotic_report(args.n, args.n0)
-    if args.format == "json":
-        _emit_json(dataclasses.asdict(rep))
-    elif args.format == "csv":
-        _emit_rows("csv", [dataclasses.asdict(rep)])
-    else:
-        print(f"n={rep.n} n0={rep.n0}")
-        print(f"montufar base: {rep.montufar_base}")
-        print(f"binomial base: {rep.binomial_base}")
-        print(f"log2 montufar: {rep.log2_montufar!r}")
-        print(f"log2 binomial: {rep.log2_binomial!r}")
-        print(f"stirling exponent (approximate): {rep.stirling_exponent!r}")
-    return 0
-
-
-def _count_payload(report: empirical.VerificationReport, sampled, args) -> dict:
-    """The ``count --format json`` schema."""
+    dec = decomposition.build_decomposition(args.n + 1)
+    factors = (("C", dec.C), ("P", dec.P), ("J", dec.J), ("P_inv", dec.P_inv))
     payload = {
-        "n0": report.architecture.n0,
-        "widths": list(report.architecture.widths),
-        "exact_count": report.count,
-        "binomial_bound": report.binomial,
-        "zaslavsky_bound": report.zaslavsky,
-        "naive_bound": report.naive,
-        "chain_ok": report.chain_ok,
-        "recursion_ok": report.recursion_ok,
-        "recursion_detail": [
-            {"gamma": g, "layer": l, "ok": ok} for (g, l, ok) in report.recursion_detail
-        ],
+        "n": args.n,
+        "size": dec.n,
+        "xi": list(dec.xi),
+        **{k: [[str(x) for x in row] for row in m] for k, m in factors},
+        "matches_bound_matrix": ok,
     }
-    if sampled is not None:
-        payload.update(sample_count=sampled, samples=args.samples, seed=args.seed)
-    return payload
+    return payload, lambda: [
+        f"binomial bound matrix of width {args.n}, factored as P J P^-1",
+        f"xi: {', '.join(map(str, dec.xi))}",
+        *(line for k, m in factors for line in (f"{k.replace('_inv', '^-1')}:", format_matrix(m))),
+        f"C equals the bound matrix: {ok}",
+    ], ok
 
 
-def cmd_count(args) -> int:
+def cmd_asymptotic(args):
+    rep = decomposition.asymptotic_report(args.n, args.n0)
+    return dataclasses.asdict(rep), lambda: [
+        f"n={rep.n} n0={rep.n0}",
+        f"montufar base: {rep.montufar_base}",
+        f"binomial base: {rep.binomial_base}",
+        f"log2 montufar: {rep.log2_montufar!r}",
+        f"log2 binomial: {rep.log2_binomial!r}",
+        f"stirling exponent (approximate): {rep.stirling_exponent!r}",
+    ]
+
+
+def cmd_count(args):
     if args.network is not None:
         try:
             net = empirical.load_network(args.network)
@@ -275,27 +207,36 @@ def cmd_count(args) -> int:
     report = empirical.verify_network(
         net, args.box_radius, allow_large=args.allow_large
     )
-    sampled = None
-    if args.samples:
-        sampled = empirical.sample_count(
-            net, args.samples, args.box_radius, seed=args.seed
-        )
+    payload = {
+        "n0": report.architecture.n0,
+        "widths": list(report.architecture.widths),
+        "exact_count": report.count,
+        "binomial_bound": report.binomial,
+        "zaslavsky_bound": report.zaslavsky,
+        "naive_bound": report.naive,
+        "chain_ok": report.chain_ok,
+        "recursion_ok": report.recursion_ok,
+        "recursion_detail": [
+            {"gamma": g, "layer": l, "ok": ok} for (g, l, ok) in report.recursion_detail
+        ],
+    }
     ok = report.chain_ok and report.recursion_ok
-    if sampled is not None:
-        ok = ok and sampled <= report.count
-    if args.format == "json":
-        _emit_json(_count_payload(report, sampled, args))
-        return 0 if ok else 1
-    print(_arch_line(report.architecture))
-    print(f"exact count:     {report.count}")
-    if sampled is not None:
-        print(f"sampled count:   {sampled} ({args.samples} samples, seed {args.seed})")
-    print(f"binomial bound:  {report.binomial}")
-    print(f"zaslavsky bound: {report.zaslavsky}")
-    print(f"naive bound:     {report.naive}")
-    print(f"chain exact <= binomial <= zaslavsky <= naive: {report.chain_ok}")
-    print(f"per-layer dimension histogram dominance: {report.recursion_ok}")
-    return 0 if ok else 1
+    sample_line = []
+    if args.samples:
+        n = empirical.sample_count(net, args.samples, args.box_radius, seed=args.seed)
+        payload.update(sample_count=n, samples=args.samples, seed=args.seed)
+        ok = ok and n <= report.count
+        sample_line = [f"sampled count:   {n} ({args.samples} samples, seed {args.seed})"]
+    return payload, lambda: [
+        _arch_line(report.architecture),
+        f"exact count:     {report.count}",
+        *sample_line,
+        f"binomial bound:  {report.binomial}",
+        f"zaslavsky bound: {report.zaslavsky}",
+        f"naive bound:     {report.naive}",
+        f"chain exact <= binomial <= zaslavsky <= naive: {report.chain_ok}",
+        f"per-layer dimension histogram dominance: {report.recursion_ok}",
+    ], ok
 
 
 @functools.cache
@@ -373,9 +314,17 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        payload, text, *ok = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif args.format == "csv":
+            records = payload if isinstance(payload, list) else [payload]
+            for row in [records[0].keys(), *(r.values() for r in records)]:
+                print(",".join(map(str, row)))
+        else:
+            print("\n".join(text()))
         sys.stdout.flush()
-        return code
+        return 0 if all(ok) else 1
     except BrokenPipeError:
         # The reader closed stdout (``| head``): stop quietly. Pointing stdout
         # at devnull keeps the interpreter's final flush from failing again.

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .bound_matrices import build_bound_matrix, stirling_exponent
 from .gamma import BINOMIAL
+from .transition import check_index_range
 
 IntMatrix = tuple[tuple[int, ...], ...]
 FracMatrix = tuple[tuple[int | Fraction, ...], ...]
@@ -62,6 +63,7 @@ def _xi_values(size: int) -> tuple[int, ...]:
 
 def _templates(size: int, l: int) -> tuple[IntMatrix, IntMatrix, FracMatrix, IntMatrix]:
     """P, J^l, P^-1 and C of the given size, built in one walk over the rows."""
+    check_index_range(size)
     x = (0,) + _xi_values(size)  # x[0] = 0 gives x_1 its step too
     rows = []
     for i in range(size):

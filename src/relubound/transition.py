@@ -80,9 +80,10 @@ def compose_bound_histogram(g: GammaCollection, arch: Architecture) -> Histogram
     """Fold phi over all layers starting from a unit count at index n0.
 
     The l1 norm of the result is the histogram-path bound on the number of
-    attainable multi-signatures.
+    attainable multi-signatures. The first layer clamps n0 to n1, so the
+    unit count starts at index min(n0, n1).
     """
-    v = unit(arch.n0)
+    v = unit(min(arch.n0, arch.widths[0]))
     for width in arch.widths:
         v = phi(g, width, v)
     return v

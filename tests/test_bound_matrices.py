@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -234,3 +235,33 @@ class TestStrictnessConditions:
                     assert (mont < naive) == width_increases_somewhere(arch)
                     assert (binom < mont) == narrow_layer_somewhere(arch)
 
+
+class TestHugeInputDimension:
+    @pytest.mark.parametrize("widths", [(5,), (3, 5, 2), (6, 2, 7, 4)])
+    def test_acts_like_the_first_width_in_little_memory(self, widths):
+        # The first layer clamps n0 to n1, so n0 = 10^7 must give the values
+        # of n0 = n1 without anything as long as n0 being allocated.
+        def bounds(n0):
+            arch = Architecture(n0, widths)
+            gammas = (NAIVE, ZASLAVSKY, BINOMIAL)
+            return [
+                naive_bound(arch),
+                montufar_bound(arch),
+                serra_sum(arch),
+                width_increases_somewhere(arch),
+                narrow_layer_somewhere(arch),
+                *(evaluate_bound(g, arch) for g in gammas),
+                *(compose_bound_histogram(g, arch) for g in gammas),
+            ]
+
+        tracemalloc.start()
+        try:
+            huge = bounds(10**7)
+            lower = montufar_lower_bound(Architecture(10**7, widths))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert huge == bounds(widths[0])
+        # floor(n_l / n0) = 0 below the last layer; the last sum stops at n_L
+        assert lower == (2 ** widths[0] if len(widths) == 1 else 0)
+        assert peak < 2**20

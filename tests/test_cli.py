@@ -32,6 +32,8 @@ class TestWidthParsing:
             parse_widths("4:x0")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_widths("a,b")
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_widths("3:x99999999999999999999")
 
 
 class TestFormatting:
@@ -303,13 +305,15 @@ class TestArgumentErrors:
         assert main(["count", "--triangle", "down", "--box-radius", "0"]) == 1
         assert "error: box radius must be positive" in capsys.readouterr().err
 
-    # A dimension past the index range; bound without --gamma and decompose
-    # are left out, since 2 ** sum(widths) and the xi table would allocate.
+    # A dimension past the index range; bound without --gamma is left out,
+    # since 2 ** sum(widths) would allocate.
     @pytest.mark.parametrize("argv", [
         "bound --n0 2 --widths 99999999999999999999 --gamma zaslavsky",
         "bound --n0 99999999999999999999 --widths 3 --gamma binomial",
         "table --n 99999999999999999999 --l-max 1",
         "matrix --gamma binomial --n 99999999999999999999",
+        "table --n 4 --l-max 99999999999999999999",
+        "decompose --n 99999999999999999999",
     ])
     def test_dimension_past_index_range(self, argv, capsys):
         assert main(argv.split()) == 1
@@ -323,6 +327,8 @@ class TestArgumentErrors:
         "bound --n0 99999999999999999999 --widths 3 --gamma binomial",
         "table --n 99999999999999999999 --l-max 1",
         "matrix --gamma binomial --n 99999999999999999999",
+        "table --n 4 --l-max 99999999999999999999",
+        "decompose --n 99999999999999999999",
     ])
     def test_dimension_past_index_range_names_the_limit(self, argv, capsys):
         assert main(argv.split()) == 1
@@ -381,6 +387,20 @@ class TestOutputAndFiles:
             err = proc.stderr.read()
         assert proc.returncode == 1
         assert err == b""
+
+    @pytest.mark.parametrize("argv", [
+        "matrix --gamma binomial --n 6 --format json",
+        "table --n 4 --l-max 3 --format json",
+        "table --n 4 --l-max 3 --format csv",
+        "decompose --n 6 --format json",
+    ])
+    def test_no_text_grid_for_json_or_csv(self, argv, monkeypatch, capsys):
+        def fail(rows):
+            raise AssertionError("text grid built")
+
+        monkeypatch.setattr("relubound.cli.format_matrix", fail)
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
