@@ -160,9 +160,10 @@ def cmd_matrix(args):
 
 
 def cmd_decompose(args):
-    # The check first: it names --n itself when --n is past the index range.
-    ok = decomposition.verify_B_equals_C(args.n)
+    # The bound matrix first: it names --n itself when --n is past the index range.
+    bound = build_bound_matrix(BINOMIAL, args.n)
     dec = decomposition.build_decomposition(args.n + 1)
+    ok = bound.rows == dec.C
     factors = (("C", dec.C), ("P", dec.P), ("J", dec.J), ("P_inv", dec.P_inv))
     payload = {
         "n": args.n,

@@ -1,12 +1,11 @@
 """Exact region enumeration for small ReLU networks with rational weights.
 
 This is the ground-truth side of the package: a region is nonempty iff an
-exact LP says so, and the enumerator walks layers breadth-first keeping one
-record per attained signature prefix, in ints: each layer is scaled to ints
-once per call and a region's affine rows are int numerators over one
-denominator; only witnesses and LP values are ``Fraction``s. Regions where
-some inactive unit sits exactly on its hyperplane are lower-dimensional but
-nonempty, and they count.
+exact LP says so, and the enumerator walks regions depth-first through the
+layers in ints: each layer is scaled to ints once per call and a region's
+affine rows are int numerators over one denominator; only witnesses and LP
+values are ``Fraction``s. Regions where some inactive unit sits exactly on
+its hyperplane are lower-dimensional but nonempty, and they count.
 
 Everything is restricted to a box [-R, R]^n0 (default R = 10^6) so every
 LP is bounded; regions lying entirely outside the box are missed, which is
@@ -167,18 +166,24 @@ def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exact enumeration output: per-layer prefix sets plus final records."""
+    """One record per attained multi-signature. The per-layer prefix sets are
+    derived, and exact: a nonempty region (t* > 0) has a nonempty child in every
+    later layer, because any point of the region has some signature there."""
 
-    prefixes_per_layer: tuple[frozenset[MultiSignature], ...]
     records: tuple[RegionRecord, ...]
 
-    @property
+    @cached_property
     def multisignatures(self) -> frozenset[MultiSignature]:
-        return self.prefixes_per_layer[-1]
+        return frozenset(r.prefix for r in self.records)
+
+    @cached_property
+    def prefixes_per_layer(self) -> tuple[frozenset[MultiSignature], ...]:
+        depth = len(self.records[0].prefix) if self.records else 0
+        return tuple(frozenset(p[:l] for p in self.multisignatures) for l in range(1, depth + 1))
 
     @property
     def count(self) -> int:
-        return len(self.prefixes_per_layer[-1])
+        return len(self.records)
 
 
 def _check_guard(net: ReluNetwork, allow_large: bool) -> None:
@@ -241,7 +246,8 @@ def enumerate_regions(
     *,
     allow_large: bool = False,
 ) -> EnumerationResult:
-    """Breadth-first exact enumeration of attained multi-signatures in the box."""
+    """Exact enumeration of attained multi-signatures in the box, depth-first over
+    an explicit stack; records come in that order, which sorts their prefixes."""
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
     n0 = net.n0
@@ -250,19 +256,22 @@ def enumerate_regions(
     num, den = radius.as_integer_ratio()
     identity = (den, tuple((j, tuple(den * (i == j) for i in range(n0)) + (-num,))
                            for j in range(n0)))
-    # Each region travels with its optimal LP and its live rows; the
-    # records returned keep neither.
-    regions = [(root, _root_tableau(radius, n0), identity)]
-    layer_sets: list[frozenset[MultiSignature]] = []
+    # Each layer in ints, made per call: W q and b q, q the lcm of its denominators.
+    layers = []
     for layer in net.layers:
-        # The layer in ints, made per call: W q and b q, q the lcm of its denominators.
         rows = (*layer.weights, layer.biases)
         q = lcm(*(x.denominator for row in rows for x in row))
         *w, b = ([x.numerator * (q // x.denominator) for x in row] for row in rows)
-        regions = [child for r, tab, live in regions
-                   for child in _expand_region(r, tab, live, (q, w, b), radius)]
-        layer_sets.append(frozenset(r.prefix for r, _, _ in regions))
-    return EnumerationResult(tuple(layer_sets), tuple(r for r, _, _ in regions))
+        layers.append((q, w, b))
+    stack = [(root, _root_tableau(radius, n0), identity)]
+    records = []
+    while stack:
+        region, tab, live = stack.pop()
+        if (depth := len(region.prefix)) == len(layers):
+            records.append(region)
+        else:
+            stack.extend(reversed(_expand_region(region, tab, live, layers[depth], radius)))
+    return EnumerationResult(tuple(records))
 
 
 def sample_count(

@@ -154,6 +154,21 @@ class TestDecomposeCommand:
         assert data["P_inv"][1][1] == "1/4"
         assert data["matches_bound_matrix"] is True
 
+    def test_builds_the_decomposition_once(self, capsys, monkeypatch):
+        from relubound import decomposition
+
+        built = []
+        build = decomposition.build_decomposition
+
+        def counting(n):
+            built.append(n)
+            return build(n)
+
+        monkeypatch.setattr(decomposition, "build_decomposition", counting)
+        assert main(["decompose", "--n", "5"]) == 0
+        assert built == [6]
+        assert "C equals the bound matrix: True" in capsys.readouterr().out
+
 
 class TestAsymptoticCommand:
     def test_odd_full_input(self, capsys):

@@ -213,6 +213,27 @@ class TestEnumeration:
         first = {p[0] for p in res.prefixes_per_layer[1]}
         assert first <= {p[0] for p in res.prefixes_per_layer[0]}
 
+    def test_layers_are_walked_depth_first(self, monkeypatch):
+        """A region of layer 2 is expanded by layer 3 before the last region
+        of layer 1 is expanded by layer 2, which breadth-first never does."""
+        depths = []
+        expand = empirical._expand_region
+
+        def recording(region, *args):
+            depths.append(len(region.prefix))
+            return expand(region, *args)
+
+        monkeypatch.setattr(empirical, "_expand_region", recording)
+        res = enumerate_regions(random_network(Architecture(2, (2, 2, 2)), 3), BOX10)
+        last_layer2 = max(i for i, d in enumerate(depths) if d == 1)
+        assert depths.index(2) < last_layer2
+        assert [r.prefix for r in res.records] == sorted(res.multisignatures)
+
+    def test_deeper_than_the_recursion_limit(self):
+        layer = ReluLayer([[1]], [0])
+        net = ReluNetwork(1, (layer,) * (sys.getrecursionlimit() + 100))
+        assert enumerate_regions(net, BOX10, allow_large=True).count == 2
+
     def test_no_constraint_system_solved_twice(self, monkeypatch):
         """One warm-started LP per child, each called from _expand_region,
         and a child whose row holds at its parent's optimum costs no pivot."""
