@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .gamma import GammaCollection
@@ -68,7 +70,8 @@ def bound_vectors(g: GammaCollection, arch: Architecture) -> Iterator[list[int]]
 
     B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer is one
     ``layer_step`` over B_{n'}'s columns; no connector or product is formed.
-    The first layer clamps n0 to n1, so the start is e_{min(n0, n1)+1}.
+    The first layer clamps n0 to n1, so the start is e_{min(n0, n1)+1}, and
+    column k is zero above k, so each vector is yielded as that support prefix.
     """
     vec = [0] * min(arch.n0, arch.widths[0]) + [1]
     cache: dict[int, list[Row]] = {}
@@ -94,12 +97,12 @@ def naive_bound(arch: Architecture) -> int:
 def montufar_bound(arch: Architecture) -> int:
     """Product over layers of sum_{j<=min(n0..n_{l-1})} C(n_l, j).
 
-    Terms with j > n_l are zero, so each sum stops at min(n0..n_l).
+    Terms with j > n_l are zero, so each sum stops at min(n0..n_l); each
+    distinct (n_l, min(n0..n_l)) factor is summed once, then powered.
     """
-    dims = arch.dims()
+    layers = Counter(zip(arch.widths, list(accumulate(arch.dims(), min))[1:]))
     return math.prod(
-        sum(math.comb(dims[l], j) for j in range(min(dims[: l + 1]) + 1))
-        for l in range(1, len(dims))
+        sum(math.comb(w, j) for j in range(m + 1)) ** k for (w, m), k in layers.items()
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .bound_matrices import build_bound_matrix, stirling_exponent
@@ -54,11 +55,8 @@ class JordanLikeDecomposition:
 
 
 def _xi_values(size: int) -> tuple[int, ...]:
-    # Partial sums of the binomial row of size-1, one per distinct eigenvalue.
-    top = (size + 1) // 2
-    return tuple(
-        sum(math.comb(size - 1, i) for i in range(j)) for j in range(1, top + 1)
-    )
+    # Running partial sums of the binomial row of size-1, one per distinct eigenvalue.
+    return tuple(accumulate(math.comb(size - 1, i) for i in range((size + 1) // 2)))
 
 
 def _templates(size: int, l: int) -> tuple[IntMatrix, IntMatrix, FracMatrix, IntMatrix]:
@@ -107,7 +105,7 @@ def build_decomposition(n: int) -> JordanLikeDecomposition:
     return JordanLikeDecomposition(
         n=n,
         parity="even" if n % 2 == 0 else "odd",
-        xi=_xi_values(n),
+        xi=tuple(C[i][i] for i in range((n + 1) // 2)),  # x_{i+1} on row i < ceil(n/2)
         P=P,
         J=J,
         P_inv=P_inv,

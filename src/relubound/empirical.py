@@ -440,4 +440,7 @@ def save_network(net: ReluNetwork, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> ReluNetwork:
-    return network_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return network_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from None

@@ -11,7 +11,6 @@ is a GammaCollection(name, rule).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Iterable
 
 from .histogram import Histogram, leq
@@ -39,16 +38,21 @@ def _naive_rule(n: int, n_prime: int) -> Histogram:
     return Histogram((0,) * n_prime + (2 ** n_prime,))
 
 
+def _binomials(n: int, n_prime: int) -> list[int]:
+    """C(n', 0..n) by the exact recurrence C(n', j+1) = C(n', j) (n'-j) / (j+1)."""
+    out, c = [1], 1
+    for j in range(n):
+        out.append(c := c * (n_prime - j) // (j + 1))
+    return out
+
+
 def _zaslavsky_rule(n: int, n_prime: int) -> Histogram:
-    total = sum(comb(n_prime, j) for j in range(n + 1))
-    return Histogram((0,) * n_prime + (total,))
+    return Histogram((0,) * n_prime + (sum(_binomials(n, n_prime)),))
 
 
 def _binomial_rule(n: int, n_prime: int) -> Histogram:
-    out = [0] * (n_prime + 1)
-    for j in range(n + 1):
-        out[n_prime - j] = comb(n_prime, j)
-    return Histogram(tuple(out))
+    # C(n', j) sits at index n' - j, so the top n+1 entries are the row reversed.
+    return Histogram((0,) * (n_prime - n) + tuple(reversed(_binomials(n, n_prime))))
 
 
 NAIVE = GammaCollection("naive", _naive_rule)

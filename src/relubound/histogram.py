@@ -25,7 +25,7 @@ class Histogram:
 
     def __post_init__(self) -> None:
         c = tuple(self.counts)
-        if not all(type(x) is int for x in c):  # bool is not a count
+        if not {*map(type, c)} <= {int}:  # bool is not a count
             raise ValueError("counts must be integers")
         if c and min(c) < 0:
             raise ValueError("negative count")

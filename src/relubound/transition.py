@@ -3,7 +3,8 @@
 phi(g, n', v) sends each count v_n to v_n copies of the clipped collection
 value at (min(n, n'), n'). Composing phi over all layers starting from a
 single count at the input dimension yields a histogram whose total mass
-bounds the number of attainable multi-signatures.
+bounds the number of attainable multi-signatures. Column k is zero above k,
+so no vector pushed through a network extends past index min(n0, n1).
 """
 
 from __future__ import annotations
@@ -51,27 +52,28 @@ def check_index_range(*dims: int) -> None:
 def layer_step(column: Callable, n_prime: int, vec: Sequence[int]) -> list[int]:
     """Sum of count x column(min(j, n')) over the nonzero entries j of vec.
 
-    Each column has length n'+1, so input indices above n' are clamped to
-    n'. ``phi`` and ``evaluate_bound`` push their vectors through this.
+    Column k is zero above k, so entry j adds only to the slice 0..min(j, n')
+    (or less, for a trimmed column) and the output has length
+    min(len(vec), n'+1). ``phi`` and ``evaluate_bound`` share this step.
     """
-    out = [0] * (n_prime + 1)
+    out = [0] * min(len(vec), n_prime + 1)
     for j, count in enumerate(vec):
         if count:
-            out = [o + count * x for o, x in zip(out, column(min(j, n_prime)))]
+            c = column(min(j, n_prime))[:j + 1]
+            out[:len(c)] = [o + count * x for o, x in zip(out, c)]
     return out
 
 
 def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
     """Apply the width-n' transition for collection g to histogram v.
 
-    Column k is the collection value at (k, n') clipped at k, zero-padded.
+    Column k is the collection value at (k, n') clipped at k, so zero above k.
     """
     if n_prime < 1:
         raise ValueError("dimension out of range")
 
     def column(k: int) -> tuple[int, ...]:
-        c = clip(gamma_value(g, k, n_prime), k).counts
-        return c + (0,) * (n_prime + 1 - len(c))
+        return clip(gamma_value(g, k, n_prime), k).counts
 
     return Histogram(tuple(layer_step(column, n_prime, v.counts)))
 

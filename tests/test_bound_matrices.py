@@ -12,6 +12,8 @@ from relubound import (
     NAIVE,
     ZASLAVSKY,
     Architecture,
+    GammaCollection,
+    Histogram,
     asymptotic_report,
     build_bound_matrix,
     build_connector,
@@ -23,10 +25,13 @@ from relubound import (
     montufar_lower_bound,
     naive_bound,
     narrow_layer_somewhere,
+    phi,
     serra_sum,
     stirling_weakened,
+    unit,
     width_increases_somewhere,
 )
+from relubound.bound_matrices import bound_vectors
 
 # Widths 16..128 in shuffled order with repeats: against n0 = 40 the clamp
 # both merges indices (a layer narrower than the vector's support) and pads
@@ -124,6 +129,44 @@ class TestEvaluateBound:
         assert evaluate_bound(BINOMIAL, arch) <= evaluate_bound(
             BINOMIAL, Architecture(3, (5, 5, 5))
         )
+
+
+# binomial, except that every dimension-1 region has no image at all: its
+# column is empty, shorter than the k+1 entries a column may cover
+ZERO_AT_ONE = GammaCollection(
+    "zero-at-one", lambda n, n_prime: Histogram(()) if n == 1 else BINOMIAL.rule(n, n_prime)
+)
+
+
+def dense_step(bound, connector, vec):
+    """B M vec as the literal product of the dense rows, one sum per entry."""
+    folded = [sum(m * v for m, v in zip(row, vec, strict=True)) for row in connector.rows]
+    return [sum(b * x for b, x in zip(row, folded, strict=True)) for row in bound.rows]
+
+
+class TestSupportPrefix:
+    def test_vectors_are_the_dense_product(self):
+        """bound_vectors and phi, layer by layer, against B M v with dense rows."""
+        rng = random.Random(23)
+        shorter = 0
+        for _ in range(80):
+            n0 = rng.randint(1, 8)
+            widths = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 6)))
+            arch = Architecture(n0, widths)
+            for g in (NAIVE, ZASLAVSKY, BINOMIAL, ZERO_AT_ONE):
+                dense = [0] * n0 + [1]
+                hist = unit(n0)
+                vectors = list(bound_vectors(g, arch))
+                assert len(vectors) == len(widths)
+                for width, vec in zip(widths, vectors):
+                    assert len(vec) <= min(n0, widths[0]) + 1
+                    shorter += len(vec) < width + 1
+                    bound = build_bound_matrix(g, width)
+                    dense = dense_step(bound, build_connector(len(dense) - 1, width), dense)
+                    assert vec + [0] * (len(dense) - len(vec)) == dense
+                    hist = phi(g, width, hist)
+                    assert hist == Histogram(tuple(dense))
+        assert shorter  # the sample holds vectors that stop short of their width
 
 
 class TestReferenceBounds:

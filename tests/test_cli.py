@@ -287,6 +287,18 @@ class TestMalformedNetwork:
         assert main(["count", "--network", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("content", [
+        b"root:x:0:0:root:/root:/bin/bash\n",  # UTF-8 text, not JSON
+        b"\xd0\xcf\x11\xe0\xa1\xb1\x1a\xe1",  # binary, not UTF-8
+    ])
+    def test_file_not_utf8_json(self, content, tmp_path, capsys):
+        path = tmp_path / "net.dat"
+        path.write_bytes(content)
+        assert main(["count", "--network", str(path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:")
+        assert str(path) in line and "not UTF-8 JSON" in line
+
 
 class TestArgumentErrors:
     def test_unknown_gamma(self):

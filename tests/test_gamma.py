@@ -1,5 +1,7 @@
 """Gamma collections: values, validation, monotonicity."""
 
+import math
+
 import pytest
 
 from relubound import (
@@ -54,6 +56,31 @@ class TestBuiltinValues:
     def test_builtin_registry(self):
         assert set(BUILTIN) == {"naive", "zaslavsky", "binomial"}
         assert BUILTIN["binomial"] is BINOMIAL
+
+
+# every (n, n') with 1 <= n' <= 64, plus the full columns of three wide layers
+COMB_PAIRS = [
+    (n, n_prime)
+    for n_prime in [*range(1, 65), 127, 128, 200]
+    for n in range(n_prime + 1)
+]
+
+
+class TestAgainstCombDefinition:
+    """Each built-in value against its definition, one math.comb per entry."""
+
+    def test_binomial(self):
+        for n, n_prime in COMB_PAIRS:
+            counts = [0] * (n_prime + 1)
+            for j in range(n + 1):
+                counts[n_prime - j] = math.comb(n_prime, j)
+            assert gamma_value(BINOMIAL, n, n_prime) == Histogram(tuple(counts))
+
+    def test_zaslavsky(self):
+        for n, n_prime in COMB_PAIRS:
+            total = sum(math.comb(n_prime, j) for j in range(n + 1))
+            expected = Histogram((0,) * n_prime + (total,))
+            assert gamma_value(ZASLAVSKY, n, n_prime) == expected
 
 
 class TestValidation:
