@@ -94,6 +94,14 @@ def naive_bound(arch: Architecture) -> int:
     return 2 ** sum(arch.widths)
 
 
+def binomial_sums(n: int, m: int) -> list[int]:
+    """[sum_{j<=i} C(n, j) for i = 0..m], the partial row sums every closed form reads.
+
+    By ``math.comb``, apart from gamma's recurrence, so the closed forms stay its oracles.
+    """
+    return list(accumulate(math.comb(n, j) for j in range(m + 1)))
+
+
 def montufar_bound(arch: Architecture) -> int:
     """Product over layers of sum_{j<=min(n0..n_{l-1})} C(n_l, j).
 
@@ -101,9 +109,7 @@ def montufar_bound(arch: Architecture) -> int:
     distinct (n_l, min(n0..n_l)) factor is summed once, then powered.
     """
     layers = Counter(zip(arch.widths, list(accumulate(arch.dims(), min))[1:]))
-    return math.prod(
-        sum(math.comb(w, j) for j in range(m + 1)) ** k for (w, m), k in layers.items()
-    )
+    return math.prod(binomial_sums(w, m)[-1] ** k for (w, m), k in layers.items())
 
 
 def serra_sum(arch: Architecture) -> int:
@@ -155,7 +161,7 @@ def montufar_lower_bound(arch: Architecture) -> int:
     """Constructive lower bound: prod_{l<L} floor(n_l/n0)^n0 times sum_{j<=n0} C(n_L, j)."""
     widths = arch.widths
     prod = math.prod((w // arch.n0) ** arch.n0 for w in widths[:-1])
-    return prod * sum(math.comb(widths[-1], j) for j in range(min(arch.n0, widths[-1]) + 1))
+    return prod * binomial_sums(widths[-1], min(arch.n0, widths[-1]))[-1]
 
 
 def width_increases_somewhere(arch: Architecture) -> bool:
@@ -175,7 +181,6 @@ def narrow_layer_somewhere(arch: Architecture) -> bool:
     collection beats the per-layer product bound strictly.
     """
     dims = arch.dims()
-    return any(
-        dims[l] < min(dims[: l + 1]) + min(dims[: l + 2]) for l in range(1, len(dims) - 1)
-    )
+    mins = list(accumulate(dims, min))
+    return any(d < a + b for d, a, b in zip(dims[1:-1], mins[1:], mins[2:]))
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
-from .bound_matrices import build_bound_matrix, stirling_exponent
+from .bound_matrices import binomial_sums, build_bound_matrix, stirling_exponent
 from .gamma import BINOMIAL
 from .transition import check_index_range
 
@@ -54,15 +53,10 @@ class JordanLikeDecomposition:
     C: IntMatrix
 
 
-def _xi_values(size: int) -> tuple[int, ...]:
-    # Running partial sums of the binomial row of size-1, one per distinct eigenvalue.
-    return tuple(accumulate(math.comb(size - 1, i) for i in range((size + 1) // 2)))
-
-
 def _templates(size: int, l: int) -> tuple[IntMatrix, IntMatrix, FracMatrix, IntMatrix]:
     """P, J^l, P^-1 and C of the given size, built in one walk over the rows."""
     check_index_range(size)
-    x = (0,) + _xi_values(size)  # x[0] = 0 gives x_1 its step too
+    x = [0, *binomial_sums(size - 1, (size - 1) // 2)]  # x[0] = 0 gives x_1 its step too
     rows = []
     for i in range(size):
         k = min(i + 1, size - i)
@@ -143,21 +137,20 @@ def power_B(n: int, l: int) -> IntMatrix:
 def closed_form_norm(n: int, i: int, l: int) -> int:
     """l1 norm of column i+1 of the width-n binomial bound matrix to the l-th power.
 
-    Equals (sum_{j<=i} C(n,j))^l for i at most floor(n/2); above the
-    midpoint the dominant term freezes at the midpoint base and each extra
-    index contributes an l * base^(l-1)-style correction.
+    With S_m = sum_{j<=m} C(n, j) and h = floor(n/2), this is S_i^l for
+    i <= h and S_h^l + sum_{s=h+1..i} l S_{n-s}^(l-1) C(n, n-s) above the
+    midpoint: the dominant term freezes at the midpoint base and each extra
+    index adds a correction linear in l.
     """
     if n < 1 or l < 1:
         raise ValueError("dimension out of range")
     if i < 0 or i > n:
         raise ValueError("index out of range")
     half = n // 2
-    if i <= half:
-        return sum(math.comb(n, j) for j in range(i + 1)) ** l
-    out = sum(math.comb(n, j) for j in range(half + 1)) ** l
+    sums = binomial_sums(n, min(i, half))
+    out = sums[-1] ** l
     for s in range(half + 1, i + 1):
-        base = sum(math.comb(n, j) for j in range(n - s + 1))
-        out += l * base ** (l - 1) * math.comb(n, n - s)
+        out += l * sums[n - s] ** (l - 1) * math.comb(n, n - s)
     return out
 
 
@@ -185,8 +178,8 @@ def asymptotic_report(n: int, n0: int) -> AsymptoticReport:
     """
     if n < 1 or n0 < 1:
         raise ValueError("dimension out of range")
-    montufar_base = sum(math.comb(n, j) for j in range(min(n0, n) + 1))
-    binomial_base = sum(math.comb(n, j) for j in range(min(n0, n // 2) + 1))
+    sums = binomial_sums(n, min(n0, n))
+    montufar_base, binomial_base = sums[-1], sums[min(n0, n // 2)]
     return AsymptoticReport(
         n=n,
         n0=n0,

@@ -20,6 +20,7 @@ from relubound import (
     closed_form_norm,
     compose_bound_histogram,
     evaluate_bound,
+    gamma_value,
     l1_norm,
     montufar_bound,
     montufar_lower_bound,
@@ -31,7 +32,7 @@ from relubound import (
     unit,
     width_increases_somewhere,
 )
-from relubound.bound_matrices import bound_vectors
+from relubound.bound_matrices import binomial_sums, bound_vectors
 
 # Widths 16..128 in shuffled order with repeats: against n0 = 40 the clamp
 # both merges indices (a layer narrower than the vector's support) and pads
@@ -95,6 +96,10 @@ class TestConnector:
     def test_identity_when_equal(self):
         m = build_connector(3, 3)
         assert m.rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+    def test_negative_dimension(self):
+        with pytest.raises(ValueError, match="dimension out of range"):
+            build_connector(-1, 2)
 
 
 class TestEvaluateBound:
@@ -250,6 +255,16 @@ class TestReferenceBounds:
             assert montufar_lower_bound(arch) <= evaluate_bound(BINOMIAL, arch)
 
 
+class TestBinomialSums:
+    def test_matches_zaslavsky_recurrence(self):
+        # math.comb partial row sums against gamma's recurrence, which sums
+        # the same binomials a different way.
+        for n in range(1, 65):
+            zaslavsky = [l1_norm(gamma_value(ZASLAVSKY, k, n)) for k in range(n + 1)]
+            for m in range(n + 1):
+                assert binomial_sums(n, m) == zaslavsky[: m + 1]
+
+
 class TestStrictnessConditions:
     def test_width_increase(self):
         assert width_increases_somewhere(Architecture(2, (3,)))
@@ -277,6 +292,18 @@ class TestStrictnessConditions:
                     assert binom <= mont <= naive
                     assert (mont < naive) == width_increases_somewhere(arch)
                     assert (binom < mont) == narrow_layer_somewhere(arch)
+
+        # Deeper seeded architectures, where an off-by-one in the running
+        # minimum's index would pick the wrong layer; both outcomes occur.
+        rng = random.Random(18)
+        seen = set()
+        for _ in range(200):
+            widths = tuple(rng.randint(1, 5) for _ in range(rng.randint(4, 12)))
+            arch = Architecture(rng.randint(1, 4), widths)
+            narrow = narrow_layer_somewhere(arch)
+            assert (evaluate_bound(BINOMIAL, arch) < montufar_bound(arch)) == narrow
+            seen.add(narrow)
+        assert seen == {False, True}
 
 
 class TestHugeInputDimension:

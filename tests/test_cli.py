@@ -328,6 +328,16 @@ class TestArgumentErrors:
         assert err.value.code == 2
         assert f"{flag}: must be an integer >= {low}: '{argv[-1]}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["table", "--n", "4", "--n0-list", "1,x"], "--n0-list"),
+        (["count", "--triangle", "down", "--box-radius", "1/0"], "--box-radius"),
+    ])
+    def test_malformed_list_or_rational(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_zero_box_radius(self, capsys):
         assert main(["count", "--triangle", "down", "--box-radius", "0"]) == 1
         assert "error: box radius must be positive" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from relubound import (
     power_J,
     verify_B_equals_C,
 )
+from relubound import decomposition
 from relubound.decomposition import _matmul
 
 F = Fraction
@@ -117,6 +118,17 @@ class TestPowers:
                 )
                 acc = _matmul(acc, base)
 
+    def test_non_integral_product_is_caught(self, monkeypatch):
+        real = decomposition._templates
+
+        def halved_inverse(size, l):
+            P, J, P_inv, C = real(size, l)
+            return P, J, tuple(tuple(F(x) / 2 for x in row) for row in P_inv), C
+
+        monkeypatch.setattr(decomposition, "_templates", halved_inverse)
+        with pytest.raises(RuntimeError, match="decomposition inconsistency"):
+            power_B(4, 1)
+
     def test_power_entries_are_ints(self):
         out = power_B(4, 3)
         assert all(isinstance(x, int) for row in out for x in row)
@@ -130,7 +142,7 @@ class TestPowers:
 
 class TestClosedFormNorm:
     def test_matches_power_column_sums(self):
-        for n in range(1, 7):
+        for n in range(1, 17):
             for l in (1, 2, 3, 5):
                 mat = power_B(n, l)
                 for i in range(n + 1):
@@ -148,6 +160,11 @@ class TestClosedFormNorm:
     def test_bad_index(self):
         with pytest.raises(ValueError, match="index out of range"):
             closed_form_norm(4, 5, 1)
+
+    @pytest.mark.parametrize("n, i, l", [(0, 0, 1), (4, 1, 0)])
+    def test_bad_dimension(self, n, i, l):
+        with pytest.raises(ValueError, match="dimension out of range"):
+            closed_form_norm(n, i, l)
 
 
 class TestAsymptoticReport:

@@ -443,3 +443,7 @@ class TestNetworkJson:
         data = {"n0": 1, "layers": [{"W": [[0.5]], "b": [0]}]}
         with pytest.raises(ValueError):
             network_from_dict(data)
+
+    def test_rejects_layers_that_are_not_a_list(self):
+        with pytest.raises(ValueError, match="must be a list"):
+            network_from_dict({"n0": 1, "layers": {}})

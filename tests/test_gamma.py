@@ -9,6 +9,7 @@ from relubound import (
     BUILTIN,
     NAIVE,
     ZASLAVSKY,
+    GammaCollection,
     Histogram,
     ReluLayer,
     ReluNetwork,
@@ -92,6 +93,12 @@ class TestValidation:
     def test_monotone_in_n(self):
         for g in (NAIVE, ZASLAVSKY, BINOMIAL):
             assert check_monotonicity(g, 8)
+
+    def test_non_monotone_collection(self):
+        # the top entry falls as n grows: gamma_{0,n'} is not below gamma_{1,n'}
+        shrinking = GammaCollection(
+            "shrinking", lambda n, n_prime: Histogram((0,) * n_prime + (n_prime + 1 - n,)))
+        assert not check_monotonicity(shrinking, 3)
 
     def test_monotonicity_bad_range(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,8 @@ class TestArithmetic:
         assert tail_sum(v, 0) == 6
         assert tail_sum(v, 2) == 3
         assert tail_sum(v, 3) == 0
+        with pytest.raises(ValueError, match="negative index"):
+            tail_sum(v, -1)
 
 
 class TestDominanceOrder:

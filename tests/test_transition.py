@@ -151,3 +151,7 @@ class TestDimensionHistogram:
 
     def test_empty(self):
         assert dimension_histogram([], 3) == zero()
+
+    def test_input_dimension_below_one(self):
+        with pytest.raises(ValueError, match="input dimension must be at least 1"):
+            dimension_histogram([], 0)
