@@ -160,7 +160,8 @@ def stirling_weakened(n: int, L: int) -> float:
 def montufar_lower_bound(arch: Architecture) -> int:
     """Constructive lower bound: prod_{l<L} floor(n_l/n0)^n0 times sum_{j<=n0} C(n_L, j)."""
     widths = arch.widths
-    prod = math.prod((w // arch.n0) ** arch.n0 for w in widths[:-1])
+    factors = Counter(w // arch.n0 for w in widths[:-1])  # each distinct factor powered once
+    prod = math.prod(f ** (arch.n0 * k) for f, k in factors.items())
     return prod * binomial_sums(widths[-1], min(arch.n0, widths[-1]))[-1]
 
 

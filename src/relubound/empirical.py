@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import bound_matrices
 from .gamma import (
@@ -109,17 +109,19 @@ class ReluNetwork:
 
 @dataclass(frozen=True)
 class RegionRecord:
-    """One attained signature prefix and a point of its region.
-
-    ``witness`` lies in the region and inside the box (it is the optimum
-    of the region's LP). The region's halfspace conditions live only in
-    its LP tableau, and the affine map the truncated network computes on
-    it only in its ``live`` rows (see ``_expand_region``); both travel
-    beside the record during enumeration and are not returned.
-    """
+    """One attained multi-signature and a point of its region inside the box."""
 
     prefix: MultiSignature
     witness: Vector
+
+
+class Region(NamedTuple):
+    """A region under expansion: its signature prefix, its optimal LP
+    tableau and the ``live`` rows of its active units (see ``_expand_region``)."""
+
+    prefix: MultiSignature
+    tableau: Tableau
+    live: Live
 
 
 def signature_at(net: ReluNetwork, x: Sequence) -> MultiSignature:
@@ -147,10 +149,14 @@ def _box_radius(box_radius) -> Fraction:
     return radius
 
 
-def _root_tableau(radius: Fraction, n_vars: int) -> Tableau:
-    """The box's optimal region LP: max t over z = x + R in [0, 2R]^n_vars,
-    t in [0, 1]. Each constraint is then appended by one ``_cut``."""
-    return capped([0] * n_vars + [1], [2 * radius] * n_vars + [1])
+def _root(radius: Fraction, n0: int) -> Region:
+    """The box as a region, in the LP's coordinates z = x + R: its optimal LP
+    is max t over z in [0, 2R]^n0, t in [0, 1], and its active units are the
+    inputs, x_j = (den z_j - num) / den for R = num / den. Each constraint
+    is then appended by one ``_cut``."""
+    num, den = radius.as_integer_ratio()
+    inputs = tuple((j, tuple(den * (i == j) for i in range(n0)) + (-num,)) for j in range(n0))
+    return Region((), capped([0] * n0 + [1], [2 * radius] * n0 + [1]), (den, inputs))
 
 
 def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
@@ -193,42 +199,34 @@ def _check_guard(net: ReluNetwork, allow_large: bool) -> None:
         raise ValueError("instance too large")
 
 
-def _expand_region(
-    region: RegionRecord,
-    tableau: Tableau,
-    live: Live,
-    layer: tuple[int, list[list[int]], list[int]],
-    radius: Fraction,
-) -> list[tuple[RegionRecord, Tableau, Live]]:
-    """All feasible extensions of one region by one layer, each with its LP
-    and the ``live`` rows of its active units.
+def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]) -> list[Region]:
+    """All feasible extensions of one region by one layer.
 
-    ``live`` pairs each active unit k of the previous layer with its
-    pre-activation (a_1, ..., a_n0, c) on the region as int numerators over
-    one denominator, already in the LP's coordinates z = x + R (the shift is
-    made once, in the root's rows). With ``layer`` = (q, W q, b q) in ints,
-    the pre-activations composed from them, over q times that denominator,
-    are LP rows as they stand; inactive units output 0 and cost nothing.
-    Walks the units depth-first, and every child goes through one ``_cut``
-    of its parent's optimal ``tableau``, so empty bit prefixes are pruned
-    early and no LP is rebuilt.
+    The region's ``live`` pairs each active unit k of the previous layer
+    with its pre-activation (a_1, ..., a_n0, c) on the region as int
+    numerators over one denominator, already in the LP's coordinates
+    z = x + R (the shift is made once, in the root's rows). With ``layer``
+    = (q, W q, b q) in ints, the pre-activations composed from them, over
+    q times that denominator, are LP rows as they stand; inactive units
+    output 0 and cost nothing. Walks the units depth-first, and every child
+    goes through one ``_cut`` of its parent's optimal tableau, so empty bit
+    prefixes are pruned early and no LP is rebuilt.
     """
-    d, rows = live
+    d, rows = region.live
     q, weights, biases = layer
-    columns = range(len(region.witness) + 1)
+    columns = range(region.tableau.n)  # n0 + 1 LP variables (z, t), as many as (A, C) has
     funcs = []
     for w_row, b in zip(weights, biases):
         f = [sum(w_row[k] * g[j] for k, g in rows) for j in columns]
         f[-1] += b * d
         funcs.append(f)
     d *= q
-    out: list[tuple[RegionRecord, Tableau, Live]] = []
+    out: list[Region] = []
 
     def descend(i: int, bits: tuple[int, ...], tab: Tableau) -> None:
         if i == len(funcs):
-            witness = tuple(v - radius for v in tab.point()[:-1])
             active = tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)
-            out.append((RegionRecord(region.prefix + (bits,), witness), tab, (d, active)))
+            out.append(Region(region.prefix + (bits,), tab, (d, active)))
             return
         for bit in (0, 1):
             if (child := _cut(tab, funcs[i], d, bit)) is not None:
@@ -236,7 +234,7 @@ def _expand_region(
 
     # No solve at the root: the previous layer's leaf LP (or, for the input
     # region, the box itself) already proved the region's constraints feasible.
-    descend(0, (), tableau)
+    descend(0, (), region.tableau)
     return out
 
 
@@ -250,12 +248,6 @@ def enumerate_regions(
     an explicit stack; records come in that order, which sorts their prefixes."""
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
-    n0 = net.n0
-    root = RegionRecord(prefix=(), witness=(Fraction(0),) * n0)
-    # The root's active units are the inputs: x_j = (den e_j.z - num) / den.
-    num, den = radius.as_integer_ratio()
-    identity = (den, tuple((j, tuple(den * (i == j) for i in range(n0)) + (-num,))
-                           for j in range(n0)))
     # Each layer in ints, made per call: W q and b q, q the lcm of its denominators.
     layers = []
     for layer in net.layers:
@@ -263,14 +255,15 @@ def enumerate_regions(
         q = lcm(*(x.denominator for row in rows for x in row))
         *w, b = ([x.numerator * (q // x.denominator) for x in row] for row in rows)
         layers.append((q, w, b))
-    stack = [(root, _root_tableau(radius, n0), identity)]
+    stack = [_root(radius, net.n0)]
     records = []
     while stack:
-        region, tab, live = stack.pop()
+        region = stack.pop()
         if (depth := len(region.prefix)) == len(layers):
-            records.append(region)
+            witness = tuple(v - radius for v in region.tableau.point()[:-1])
+            records.append(RegionRecord(region.prefix, witness))
         else:
-            stack.extend(reversed(_expand_region(region, tab, live, layers[depth], radius)))
+            stack.extend(reversed(_expand_region(region, layers[depth])))
     return EnumerationResult(tuple(records))
 
 

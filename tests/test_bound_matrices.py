@@ -245,6 +245,18 @@ class TestReferenceBounds:
     def test_lower_bound(self):
         assert montufar_lower_bound(Architecture(1, (2, 3))) == 8
         assert montufar_lower_bound(Architecture(4, (4, 4))) == 16
+        # Deep networks drawing from a few widths, some below n0: the
+        # product taken one layer at a time.
+        rng = random.Random(19)
+        for _ in range(30):
+            n0 = rng.randint(1, 5)
+            pool = [rng.randint(max(1, n0 - 1), 4 * n0) for _ in range(3)]
+            widths = tuple(rng.choice(pool) for _ in range(rng.randint(2, 300)))
+            expected = 1
+            for w in widths[:-1]:
+                expected *= (w // n0) ** n0
+            expected *= sum(math.comb(widths[-1], j) for j in range(n0 + 1))
+            assert montufar_lower_bound(Architecture(n0, widths)) == expected
 
     def test_lower_bound_below_binomial(self):
         rng = random.Random(3)

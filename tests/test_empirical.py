@@ -271,6 +271,22 @@ class TestEnumeration:
         assert all(n == 0 for holds, n in cost if holds)
         assert {holds for holds, _ in cost} == {True, False}
 
+    def test_witnesses_only_for_records(self, monkeypatch):
+        """Outside the solver, a tableau's point is read once per record and
+        never for a region of an earlier layer."""
+        points = []
+        point, solver = simplex.Tableau.point, simplex.solve_max.__code__
+
+        def counting(tab):
+            if sys._getframe(1).f_code is not solver:
+                points.append(None)
+            return point(tab)
+
+        monkeypatch.setattr(simplex.Tableau, "point", counting)
+        result = enumerate_regions(random_network(Architecture(2, (3, 3, 2)), 5), BOX10)
+        assert result.count == 17
+        assert len(points) == result.count
+
     def test_bland_path_is_pinned(self, monkeypatch):
         """Regions, LPs and simplex pivots of one seeded depth-3 enumeration:
         a change to the tableau's arithmetic must not change Bland's path."""
@@ -332,10 +348,10 @@ class TestIntegerRows:
         result = enumerate_regions(net, radius)
         assert {signature_at(net, r.witness) for r in result.records} == result.multisignatures
         assert rows and all(type(x) is int for row in rows for x in row)
-        lives = [args[2] for args in expansions]
+        lives = [args[0].live for args in expansions]
         assert all(type(d) is int and d > 0 for d, _ in lives)
         assert all(type(x) is int for _, live in lives for _, g in live for x in g)
-        layers = [args[3] for args in expansions]
+        layers = [args[1] for args in expansions]
         assert all(type(x) is int for q, w, b in layers for x in (q, *b, *sum(w, [])))
         if net is INTEGER_NET:
             assert {q for q, _, _ in layers} == {1}
