@@ -208,9 +208,11 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     z = x + R (the shift is made once, in the root's rows). With ``layer``
     = (q, W q, b q) in ints, the pre-activations composed from them, over
     q times that denominator, are LP rows as they stand; inactive units
-    output 0 and cost nothing. Walks the units depth-first, and every child
-    goes through one ``_cut`` of its parent's optimal tableau, so empty bit
-    prefixes are pruned early and no LP is rebuilt.
+    output 0 and cost nothing. One sweep per unit replaces each partial
+    signature by its children, bit 0 before bit 1, so the regions come out
+    in lexicographic order; every child goes through one ``_cut`` of its
+    parent's optimal tableau, so empty bit prefixes are pruned early and no
+    LP is rebuilt.
     """
     d, rows = region.live
     q, weights, biases = layer
@@ -221,21 +223,15 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
         f[-1] += b * d
         funcs.append(f)
     d *= q
-    out: list[Region] = []
-
-    def descend(i: int, bits: tuple[int, ...], tab: Tableau) -> None:
-        if i == len(funcs):
-            active = tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)
-            out.append(Region(region.prefix + (bits,), tab, (d, active)))
-            return
-        for bit in (0, 1):
-            if (child := _cut(tab, funcs[i], d, bit)) is not None:
-                descend(i + 1, bits + (bit,), child)
-
     # No solve at the root: the previous layer's leaf LP (or, for the input
     # region, the box itself) already proved the region's constraints feasible.
-    descend(0, (), region.tableau)
-    return out
+    partial = [((), region.tableau)]
+    for f in funcs:
+        partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
+                   if (child := _cut(tab, f, d, bit)) is not None]
+    return [Region(region.prefix + (bits,), tab,
+                   (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)))
+            for bits, tab in partial]
 
 
 def enumerate_regions(

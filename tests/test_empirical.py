@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,23 @@ class TestEnumeration:
         layer = ReluLayer([[1]], [0])
         net = ReluNetwork(1, (layer,) * (sys.getrecursionlimit() + 100))
         assert enumerate_regions(net, BOX10, allow_large=True).count == 2
+
+    def test_wider_than_the_recursion_limit(self):
+        width = sys.getrecursionlimit() + 100
+        net = ReluNetwork(1, (ReluLayer([[1]] * width, [0] * width),))
+        assert enumerate_regions(net, BOX10, allow_large=True).count == 2
+
+    def test_stack_holds_no_layer_of_regions(self):
+        """The tracemalloc peak of a seeded depth-3 enumeration stays small:
+        neither the stack nor one unit sweep holds a whole layer of regions."""
+        net = random_network(Architecture(3, (5, 5, 5)), 7)
+        tracemalloc.start()
+        try:
+            enumerate_regions(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     def test_no_constraint_system_solved_twice(self, monkeypatch):
         """One warm-started LP per child, each called from _expand_region,
