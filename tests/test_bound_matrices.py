@@ -1,5 +1,6 @@
 """Bound matrices, connectors, and the closed-form reference bounds."""
 
+import hashlib
 import math
 import random
 import sys
@@ -347,3 +348,68 @@ class TestHugeInputDimension:
         # floor(n_l / n0) = 0 below the last layer; the last sum stops at n_L
         assert lower == (2 ** widths[0] if len(widths) == 1 else 0)
         assert peak < 2**20
+
+
+
+def digest(values) -> str:
+    """sha256 over repr(), so it pins the ints and that they are ints."""
+    return hashlib.sha256(repr(values).encode("ascii")).hexdigest()
+
+
+def matrices_digest(g) -> str:
+    return digest([build_bound_matrix(g, n).rows for n in range(1, 65)])
+
+
+def phi_digest(seed: int) -> str:
+    """phi of seeded histograms with entries past n', for each built-in collection."""
+    rng = random.Random(seed)
+    out = []
+    for n_prime in (1, rng.randint(2, 63), 64):
+        length = rng.randint(n_prime + 2, 90)
+        v = Histogram(tuple(rng.choice((0, rng.randint(1, 10 ** 30))) for _ in range(length)))
+        out.extend(phi(g, n_prime, v).counts for g in (NAIVE, ZASLAVSKY, BINOMIAL))
+    return digest(out)
+
+
+class TestColumnPin:
+    """Bound-matrix rows and phi values, not only the identities they satisfy.
+
+    When the columns change on purpose, regenerate the tables with
+    ``python tests/test_bound_matrices.py`` and review which digests moved.
+    """
+
+    @pytest.mark.parametrize("g", [NAIVE, ZASLAVSKY, BINOMIAL], ids=lambda g: g.name)
+    def test_matrices_up_to_width_64(self, g):
+        assert matrices_digest(g) == MATRICES_GOLDEN[g.name]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_phi_past_the_width(self, seed):
+        assert phi_digest(seed) == PHI_GOLDEN[seed]
+
+
+MATRICES_GOLDEN = {
+    "naive": "02840d9f12a34f05104161082e212a7ef291da0bae6eee7575c879ef26424db9",
+    "zaslavsky": "478a7421b0e8ec4830fe418bb4f302e9287f9d75b08c22f77465afb77942ab58",
+    "binomial": "d94bd23cf0afbfdf4db86917b20823be03d88ac780143a59a24990c705bdc0c7",
+}
+
+PHI_GOLDEN = {
+    0: "1e3479dc3bf7bbf8685d9cd2ac0c0d02350131ed34027548140aab1965107159",
+    1: "45b7504bb03d4986d841be48b04a04e179baa66cca0597e5a4f82096e0c095e9",
+    2: "47765d36f9014ddc726b91372eafd09aadb6f2fa4711bd646608dedaa5e321f6",
+    3: "8b276095942a47d863468628c349422683baa6caddb28121be32e0976aff52c0",
+    4: "c562959198c5f3d2730ba509a4e2e2d8af1d53466287f989923241fe41ccd312",
+    5: "c25ea99f3c4d094ac6783ac09f1d4c3b9e105f419755bee4d6af49f7e45f24ce",
+    6: "d462bc477414bb4d4844d1f3dd0eb3306c732e3481a96f88a4e37dcf7672bb99",
+    7: "6071b5e84697b27a31b92b461ffce48eb8a9117444d21833256e8a953f3651a8",
+}
+
+
+if __name__ == "__main__":
+    print("MATRICES_GOLDEN = {")
+    for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+        print(f'    "{g.name}": "{matrices_digest(g)}",')
+    print("}\n\nPHI_GOLDEN = {")
+    for seed in range(8):
+        print(f'    {seed}: "{phi_digest(seed)}",')
+    print("}")
