@@ -15,7 +15,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterator
 
 from .gamma import GammaCollection
@@ -50,9 +50,10 @@ def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
     if n_prime < 1:
         raise ValueError("dimension out of range")
     check_index_range(n_prime)
-    size = n_prime + 1
-    cols = [(phi(g, n_prime, unit(j)).counts + (0,) * size)[:size] for j in range(size)]
-    return BoundMatrix(n_prime, tuple(zip(*cols)))
+    cols = [phi(g, n_prime, unit(j)).counts for j in range(n_prime + 1)]
+    # column j has at most j+1 entries, so zip_longest pads the rest to the last
+    cols[-1] += (0,) * (n_prime + 1 - len(cols[-1]))
+    return BoundMatrix(n_prime, tuple(zip_longest(*cols, fillvalue=0)))
 
 
 def build_connector(n: int, n_prime: int) -> ConnectorMatrix:

@@ -10,6 +10,7 @@ is a GammaCollection(name, rule).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -35,7 +36,7 @@ class GammaCollection:
 
 
 def _naive_rule(n: int, n_prime: int) -> Histogram:
-    return Histogram((0,) * n_prime + (2 ** n_prime,))
+    return Histogram._trimmed((0,) * n_prime + (2 ** n_prime,))
 
 
 def _binomials(n: int, n_prime: int) -> list[int]:
@@ -47,12 +48,12 @@ def _binomials(n: int, n_prime: int) -> list[int]:
 
 
 def _zaslavsky_rule(n: int, n_prime: int) -> Histogram:
-    return Histogram((0,) * n_prime + (sum(_binomials(n, n_prime)),))
+    return Histogram._trimmed((0,) * n_prime + (sum(_binomials(n, n_prime)),))
 
 
 def _binomial_rule(n: int, n_prime: int) -> Histogram:
     # C(n', j) sits at index n' - j, so the top n+1 entries are the row reversed.
-    return Histogram((0,) * (n_prime - n) + tuple(reversed(_binomials(n, n_prime))))
+    return Histogram._trimmed((0,) * (n_prime - n) + tuple(reversed(_binomials(n, n_prime))))
 
 
 NAIVE = GammaCollection("naive", _naive_rule)
@@ -70,9 +71,16 @@ def gamma_value(g: GammaCollection, n: int, n_prime: int) -> Histogram:
     Callers that have n > n' must clamp to min(n, n') themselves; the
     clamping is part of the transition function, not of the collection.
     """
-    if n_prime < 1 or n < 0 or n > n_prime:
+    if not (0 <= n <= n_prime and 1 <= n_prime <= sys.maxsize):
+        check_index_range(n_prime)
         raise ValueError("dimension out of range")
     return g.rule(n, n_prime)
+
+
+def check_index_range(*dims: int) -> None:
+    """ValueError naming the first dimension past sys.maxsize, the longest list."""
+    if big := [d for d in dims if d > sys.maxsize]:
+        raise ValueError(f"dimension {big[0]} exceeds sys.maxsize ({sys.maxsize})")
 
 
 def check_monotonicity(g: GammaCollection, n_prime_max: int) -> bool:

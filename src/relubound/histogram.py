@@ -29,10 +29,14 @@ class Histogram:
             raise ValueError("counts must be integers")
         if c and min(c) < 0:
             raise ValueError("negative count")
-        end = len(c)
-        while end and c[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "counts", c[:end])
+        object.__setattr__(self, "counts", _trim(c))
+
+    @classmethod
+    def _trimmed(cls, counts: tuple[int, ...]) -> Histogram:
+        """Skip the checks: only for sums, products or slices of checked counts."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "counts", _trim(counts))
+        return h
 
     def entry(self, j: int) -> int:
         return self.counts[j] if 0 <= j < len(self.counts) else 0
@@ -45,6 +49,13 @@ class Histogram:
         return list(self.counts)
 
 
+def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
+    end = len(c)
+    while end and c[end - 1] == 0:
+        end -= 1
+    return c[:end]
+
+
 def zero() -> Histogram:
     return Histogram(())
 
@@ -53,7 +64,7 @@ def unit(i: int) -> Histogram:
     """e_i: a single count at index i."""
     if i < 0:
         raise ValueError("negative index")
-    return Histogram((0,) * i + (1,))
+    return Histogram._trimmed((0,) * i + (1,))
 
 
 def add(a: Histogram, b: Histogram) -> Histogram:
@@ -110,4 +121,4 @@ def clip(v: Histogram, i_star: int) -> Histogram:
     """
     if i_star < 0:
         raise ValueError("negative index")
-    return Histogram(v.counts[:i_star] + (tail_sum(v, i_star),))
+    return Histogram._trimmed(v.counts[:i_star] + (tail_sum(v, i_star),))

@@ -9,12 +9,13 @@ so no vector pushed through a network extends past index min(n0, n1).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from .gamma import GammaCollection, MultiSignature, gamma_value
-from .histogram import Histogram, clip, unit
+from .gamma import GammaCollection, MultiSignature, check_index_range, gamma_value
+from .histogram import Histogram, unit
 
 
 @dataclass(frozen=True)
@@ -43,12 +44,6 @@ class Architecture:
         return (self.n0,) + self.widths
 
 
-def check_index_range(*dims: int) -> None:
-    """ValueError naming the first dimension past sys.maxsize, the longest list."""
-    if big := [d for d in dims if d > sys.maxsize]:
-        raise ValueError(f"dimension {big[0]} exceeds sys.maxsize ({sys.maxsize})")
-
-
 def layer_step(column: Callable, n_prime: int, vec: Sequence[int]) -> list[int]:
     """Sum of count x column(min(j, n')) over the nonzero entries j of vec.
 
@@ -57,10 +52,9 @@ def layer_step(column: Callable, n_prime: int, vec: Sequence[int]) -> list[int]:
     min(len(vec), n'+1). ``phi`` and ``evaluate_bound`` share this step.
     """
     out = [0] * min(len(vec), n_prime + 1)
-    for j, count in enumerate(vec):
-        if count:
-            c = column(min(j, n_prime))[:j + 1]
-            out[:len(c)] = [o + count * x for o, x in zip(out, c)]
+    for j, count in compress(enumerate(vec), vec):
+        c = column(min(j, n_prime))[:j + 1]
+        out[:len(c)] = map(add, out, map(mul, c, repeat(count)))
     return out
 
 
@@ -73,9 +67,10 @@ def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
         raise ValueError("dimension out of range")
 
     def column(k: int) -> tuple[int, ...]:
-        return clip(gamma_value(g, k, n_prime), k).counts
+        counts = gamma_value(g, k, n_prime).counts
+        return counts[:k] + (sum(counts[k:]),)
 
-    return Histogram(tuple(layer_step(column, n_prime, v.counts)))
+    return Histogram._trimmed(tuple(layer_step(column, n_prime, v.counts)))
 
 
 def compose_bound_histogram(g: GammaCollection, arch: Architecture) -> Histogram:

@@ -90,6 +90,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="dimension out of range"):
             gamma_value(BINOMIAL, n, n_prime)
 
+    def test_width_past_index_range(self):
+        for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+            for n in (0, 1):
+                with pytest.raises(ValueError, match=rf"dimension {10**20} exceeds sys.maxsize"):
+                    gamma_value(g, n, 10**20)
+
     def test_monotone_in_n(self):
         for g in (NAIVE, ZASLAVSKY, BINOMIAL):
             assert check_monotonicity(g, 8)

@@ -12,6 +12,7 @@ from relubound import (
     NAIVE,
     ZASLAVSKY,
     Architecture,
+    GammaCollection,
     Histogram,
     add,
     clip,
@@ -79,6 +80,11 @@ class TestPhi:
         with pytest.raises(ValueError, match="dimension out of range"):
             phi(BINOMIAL, 0, unit(1))
 
+    def test_width_past_index_range(self):
+        for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+            with pytest.raises(ValueError, match=rf"dimension {10**20} exceeds sys.maxsize"):
+                phi(g, 10**20, unit(1))
+
     @given(histograms(), histograms(), st.integers(1, 6))
     def test_linear(self, v, w, n_prime):
         for g in (NAIVE, ZASLAVSKY, BINOMIAL):
@@ -120,6 +126,42 @@ class TestPhiReference:
             v = Histogram(tuple(rng.choice((0, rng.randint(1, 10 ** 30))) for _ in range(length)))
             for g in (NAIVE, ZASLAVSKY, BINOMIAL):
                 assert phi(g, n_prime, v) == reference_phi(g, n_prime, v)
+
+
+# binomial, except that odd input dimensions have no image at all, so
+# phi's sums can end in zeros that only the trim removes
+EMPTY_AT_ODD = GammaCollection(
+    "empty-at-odd", lambda n, n_prime: Histogram(()) if n % 2 else BINOMIAL.rule(n, n_prime)
+)
+
+
+def assert_canonical(h):
+    assert h == Histogram(h.counts)
+    assert all(type(x) is int and x >= 0 for x in h.counts)
+    assert not h.counts or h.counts[-1] != 0
+
+
+class TestInternalHistogramsAreCanonical:
+    """What the package builds without the public checks equals a checked histogram."""
+
+    @given(st.integers(0, 70))
+    def test_unit(self, i):
+        assert_canonical(unit(i))
+
+    @given(histograms(), st.integers(0, 10))
+    def test_clip(self, v, i):
+        assert_canonical(clip(v, i))
+
+    @given(histograms(), st.integers(1, 9))
+    def test_phi(self, v, n_prime):
+        for g in (NAIVE, ZASLAVSKY, BINOMIAL, EMPTY_AT_ODD):
+            assert_canonical(phi(g, n_prime, v))
+
+    @given(st.integers(1, 70), st.data())
+    def test_gamma_value(self, n_prime, data):
+        n = data.draw(st.integers(0, n_prime))
+        for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+            assert_canonical(gamma_value(g, n, n_prime))
 
 
 class TestCompose:
