@@ -15,12 +15,12 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate, pairwise, zip_longest
 from typing import Iterator
 
 from .gamma import GammaCollection
 from .histogram import unit
-from .transition import Architecture, check_index_range, layer_step, phi
+from .transition import Architecture, layer_step, phi
 
 Row = tuple[int, ...]
 
@@ -49,7 +49,6 @@ class ConnectorMatrix:
 def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
     if n_prime < 1:
         raise ValueError("dimension out of range")
-    check_index_range(n_prime)
     cols = [phi(g, n_prime, unit(j)).counts for j in range(n_prime + 1)]
     # column j has at most j+1 entries, so zip_longest pads the rest to the last
     cols[-1] += (0,) * (n_prime + 1 - len(cols[-1]))
@@ -172,8 +171,7 @@ def width_increases_somewhere(arch: Architecture) -> bool:
     Exactly when this holds, the per-layer product bound beats the naive
     bound strictly.
     """
-    dims = arch.dims()
-    return any(dims[l - 1] < dims[l] for l in range(1, len(dims)))
+    return any(a < b for a, b in pairwise(arch.dims()))
 
 
 def narrow_layer_somewhere(arch: Architecture) -> bool:

@@ -49,12 +49,14 @@ def layer_step(column: Callable, n_prime: int, vec: Sequence[int]) -> list[int]:
 
     Column k is zero above k, so entry j adds only to the slice 0..min(j, n')
     (or less, for a trimmed column) and the output has length
-    min(len(vec), n'+1). ``phi`` and ``evaluate_bound`` share this step.
+    min(len(vec), n'+1). The first column is copied, not added, and a count
+    of 1 is not multiplied. ``phi`` and ``evaluate_bound`` share this step.
     """
     out = [0] * min(len(vec), n_prime + 1)
-    for j, count in compress(enumerate(vec), vec):
+    for i, (j, count) in enumerate(compress(enumerate(vec), vec)):
         c = column(min(j, n_prime))[:j + 1]
-        out[:len(c)] = map(add, out, map(mul, c, repeat(count)))
+        scaled = c if count == 1 else map(mul, c, repeat(count))
+        out[:len(c)] = map(add, out, scaled) if i else scaled
     return out
 
 

@@ -15,6 +15,7 @@ from relubound import (
     GammaCollection,
     Histogram,
     add,
+    build_bound_matrix,
     clip,
     compose_bound_histogram,
     dimension_histogram,
@@ -26,6 +27,7 @@ from relubound import (
     unit,
     zero,
 )
+from relubound.transition import layer_step
 from conftest import dominated_pairs, histograms
 
 
@@ -126,6 +128,42 @@ class TestPhiReference:
             v = Histogram(tuple(rng.choice((0, rng.randint(1, 10 ** 30))) for _ in range(length)))
             for g in (NAIVE, ZASLAVSKY, BINOMIAL):
                 assert phi(g, n_prime, v) == reference_phi(g, n_prime, v)
+
+
+class TestLayerStep:
+    """layer_step on mostly-unit counts against the sum written out entry by entry."""
+
+    @staticmethod
+    def written_out(cols, n_prime, vec):
+        out = [0] * min(len(vec), n_prime + 1)
+        for j, count in enumerate(vec):
+            for i, x in enumerate(cols[min(j, n_prime)]):
+                if x:
+                    out[i] += count * x
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_written_out_sum(self, seed):
+        rng = random.Random(seed)
+        for n_prime in (1, rng.randint(2, 40), 64):
+            units = [[0] * j + [1] + [0] * rng.randint(0, 3) for j in (0, n_prime // 2, n_prime, n_prime + 5)]
+            # mostly 1, some 0, now and then a large count; lengths up to n'+12
+            mixed = [
+                [rng.choice((0, 1, 1, 1, rng.randint(2, 10 ** 30))) for _ in range(rng.randint(1, n_prime + 12))]
+                for _ in range(4)
+            ]
+            for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+                # phi's trimmed tuples, and build_bound_matrix's padded columns as lists
+                trimmed = [clip(gamma_value(g, k, n_prime), k).counts for k in range(n_prime + 1)]
+                padded = [list(col) for col in zip(*build_bound_matrix(g, n_prime).rows)]
+                for cols in (trimmed, padded):
+                    before = [list(c) for c in cols]
+                    for vec in [[], *units, *mixed]:
+                        out = layer_step(cols.__getitem__, n_prime, vec)
+                        assert type(out) is list and len(out) == min(len(vec), n_prime + 1)
+                        assert out == self.written_out(cols, n_prime, vec)
+                        out[:] = [-1] * len(out)
+                        assert [list(c) for c in cols] == before
 
 
 # binomial, except that odd input dimensions have no image at all, so
