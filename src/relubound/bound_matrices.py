@@ -15,7 +15,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, pairwise, zip_longest
+from itertools import accumulate, pairwise
 from typing import Iterator
 
 from .gamma import GammaCollection
@@ -29,12 +29,17 @@ Row = tuple[int, ...]
 class BoundMatrix:
     """(n'+1) x (n'+1) upper-triangular matrix of exact nonnegative ints.
 
-    Column j (0-indexed) holds the clipped collection value for input
-    dimension j; the diagonal entries are the eigenvalues.
+    Stored as its columns: column j is the clipped collection value for input
+    dimension j, trimmed (zero past index j); the diagonal holds the eigenvalues.
     """
 
     n_prime: int
-    rows: tuple[Row, ...]
+    columns: tuple[Row, ...]
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """The dense view, for printing and comparison: columns zero-padded, transposed."""
+        return tuple(zip(*(c + (0,) * (self.n_prime + 1 - len(c)) for c in self.columns)))
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,7 @@ class ConnectorMatrix:
 def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
     if n_prime < 1:
         raise ValueError("dimension out of range")
-    cols = [phi(g, n_prime, unit(j)).counts for j in range(n_prime + 1)]
-    # column j has at most j+1 entries, so zip_longest pads the rest to the last
-    cols[-1] += (0,) * (n_prime + 1 - len(cols[-1]))
-    return BoundMatrix(n_prime, tuple(zip_longest(*cols, fillvalue=0)))
+    return BoundMatrix(n_prime, tuple(phi(g, n_prime, unit(j)).counts for j in range(n_prime + 1)))
 
 
 def build_connector(n: int, n_prime: int) -> ConnectorMatrix:
@@ -74,10 +76,10 @@ def bound_vectors(g: GammaCollection, arch: Architecture) -> Iterator[list[int]]
     column k is zero above k, so each vector is yielded as that support prefix.
     """
     vec = [0] * min(arch.n0, arch.widths[0]) + [1]
-    cache: dict[int, list[Row]] = {}
+    cache: dict[int, tuple[Row, ...]] = {}
     for width in arch.widths:
         if width not in cache:
-            cache[width] = list(zip(*build_bound_matrix(g, width).rows))
+            cache[width] = build_bound_matrix(g, width).columns
         vec = layer_step(cache[width].__getitem__, width, vec)
         yield vec
 

@@ -155,8 +155,8 @@ def cmd_table(args):
 
 def cmd_matrix(args):
     g = BUILTIN[args.gamma]
-    m = build_bound_matrix(g, args.n)
-    return {"gamma": g.name, "n": args.n, "rows": m.rows}, lambda: [format_matrix(m.rows)]
+    rows = build_bound_matrix(g, args.n).rows
+    return {"gamma": g.name, "n": args.n, "rows": rows}, lambda: [format_matrix(rows)]
 
 
 def cmd_decompose(args):

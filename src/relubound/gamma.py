@@ -25,7 +25,7 @@ class GammaCollection:
     """A named rule (n, n') -> Histogram.
 
     ``rule`` may assume 0 <= n <= n' and n' >= 1; use :func:`gamma_value`
-    for validated access. Instances are immutable and thread-safe.
+    for validated access. Instances are immutable.
     """
 
     name: str

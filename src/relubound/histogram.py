@@ -18,7 +18,7 @@ from typing import Iterable
 class Histogram:
     """Dense counts with trailing zeros trimmed, so equality is structural.
 
-    Instances are immutable and safe to share between threads.
+    Instances are immutable.
     """
 
     counts: tuple[int, ...] = ()

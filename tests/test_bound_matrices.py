@@ -66,6 +66,18 @@ class TestBoundMatrix:
                 for j in range(i):
                     assert rows[i][j] == 0
 
+    def test_columns_are_phi_of_units_and_rows_their_dense_view(self):
+        for g in (NAIVE, ZASLAVSKY, BINOMIAL, ZERO_AT_ONE):
+            for n in range(1, 13):
+                m = build_bound_matrix(g, n)
+                assert len(m.columns) == n + 1
+                for j, col in enumerate(m.columns):
+                    assert col == phi(g, n, unit(j)).counts
+                    assert len(col) <= j + 1
+                padded = [col + (0,) * (n + 1 - len(col)) for col in m.columns]
+                dense = tuple(tuple(padded[j][i] for j in range(n + 1)) for i in range(n + 1))
+                assert m.rows == dense, (g.name, n)
+
     def test_bad_width(self):
         with pytest.raises(ValueError, match="dimension out of range"):
             build_bound_matrix(BINOMIAL, 0)

@@ -58,6 +58,13 @@ class TestBuiltinValues:
         assert set(BUILTIN) == {"naive", "zaslavsky", "binomial"}
         assert BUILTIN["binomial"] is BINOMIAL
 
+    def test_repr_names_the_collection(self):
+        assert repr(BINOMIAL) == "GammaCollection('binomial')"
+        # the rule is left out, so a lambda's address never shows
+        lam = GammaCollection("lam", lambda n, n_prime: Histogram((1,)))
+        assert repr(lam) == "GammaCollection('lam')"
+        assert "0x" not in repr(lam)
+
 
 # every (n, n') with 1 <= n' <= 64, plus the full columns of three wide layers
 COMB_PAIRS = [
