@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import Iterator
 
-from .gamma import GammaCollection
+from .gamma import GammaCollection, check_dims
 from .histogram import unit
 from .transition import Architecture, layer_step, phi
 
@@ -52,14 +52,12 @@ class ConnectorMatrix:
 
 
 def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
-    if n_prime < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n_prime)
     return BoundMatrix(n_prime, tuple(phi(g, n_prime, unit(j)).counts for j in range(n_prime + 1)))
 
 
 def build_connector(n: int, n_prime: int) -> ConnectorMatrix:
-    if n < 0 or n_prime < 0:
-        raise ValueError("dimension out of range")
+    check_dims(n, n_prime, low=0)
     rows = tuple(
         tuple(1 if i == min(j, n_prime) else 0 for j in range(n + 1))
         for i in range(n_prime + 1)
@@ -151,8 +149,7 @@ def stirling_weakened(n: int, L: int) -> float:
     That is 2^(L e + 1/2) with e = stirling_exponent(n): the only float in
     the package, approximate by construction and flagged wherever printed.
     """
-    if n < 1 or L < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n, L)
     try:
         return 2.0 ** (L * stirling_exponent(n) + 0.5)
     except OverflowError:

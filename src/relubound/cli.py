@@ -36,8 +36,8 @@ from .bound_matrices import (
     serra_sum,
     width_increases_somewhere,
 )
-from .gamma import BINOMIAL, BUILTIN, ZASLAVSKY
-from .transition import Architecture, check_index_range
+from .gamma import BINOMIAL, BUILTIN, ZASLAVSKY, check_index_range
+from .transition import Architecture
 
 WIDTHS_SHORTHAND = re.compile(r"^(\d+):x(\d+)$")
 

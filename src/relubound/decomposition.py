@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bound_matrices import binomial_sums, build_bound_matrix, stirling_exponent
-from .gamma import BINOMIAL
-from .transition import check_index_range
+from .gamma import BINOMIAL, check_dims, check_index_range
 
 IntMatrix = tuple[tuple[int, ...], ...]
 FracMatrix = tuple[tuple[int | Fraction, ...], ...]
@@ -93,8 +92,7 @@ def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
 
 def build_decomposition(n: int) -> JordanLikeDecomposition:
     """Size-n template matrices; n >= 1."""
-    if n < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n)
     P, J, P_inv, C = _templates(n, 1)
     return JordanLikeDecomposition(
         n=n,
@@ -114,8 +112,7 @@ def verify_B_equals_C(n: int) -> bool:
 
 def power_J(n: int, l: int) -> IntMatrix:
     """Closed-form l-th power of the size-n J template."""
-    if n < 1 or l < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n, l)
     return _templates(n, l)[1]
 
 
@@ -125,8 +122,7 @@ def power_B(n: int, l: int) -> IntMatrix:
     Computed as P J^l P^-1 at size n+1 in exact rationals; every entry must
     come out integral, anything else means a template transcription error.
     """
-    if n < 1 or l < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n, l)
     P, J, P_inv, _ = _templates(n + 1, l)
     prod = _matmul(_matmul(P, J), P_inv)
     if any(entry.denominator != 1 for row in prod for entry in row):
@@ -142,8 +138,7 @@ def closed_form_norm(n: int, i: int, l: int) -> int:
     midpoint: the dominant term freezes at the midpoint base and each extra
     index adds a correction linear in l.
     """
-    if n < 1 or l < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n, l)
     if i < 0 or i > n:
         raise ValueError("index out of range")
     half = n // 2
@@ -176,8 +171,7 @@ def asymptotic_report(n: int, n0: int) -> AsymptoticReport:
     Stirling exponent is the log2 of the weakened closed form's per-layer
     factor and is approximate by construction.
     """
-    if n < 1 or n0 < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n, n0)
     sums = binomial_sums(n, min(n0, n))
     montufar_base, binomial_base = sums[-1], sums[min(n0, n // 2)]
     return AsymptoticReport(

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import bound_matrices
 from .gamma import (
-    BINOMIAL, NAIVE, ZASLAVSKY, GammaCollection, MultiSignature, Signature,
+    BINOMIAL, BUILTIN, ZASLAVSKY, GammaCollection, MultiSignature, Signature,
     activation_histogram, gamma_value,
 )
 from .histogram import leq, unit
@@ -346,14 +346,14 @@ def recursion_checks(
 ) -> tuple[tuple[str, int, bool], ...]:
     """Layer-by-layer dominance of enumerated dimension histograms.
 
-    For each collection g of NAIVE, ZASLAVSKY and BINOMIAL: the layer-1
+    For each built-in collection g, in BUILTIN's order: the layer-1
     dimension histogram must be dominated by phi(g, n1, e_{n0}), and each
     later layer's by phi applied to the previous layer's.
     """
     arch = net.architecture
     observed = [dimension_histogram(p, arch.n0) for p in enumeration.prefixes_per_layer]
     detail = []
-    for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+    for g in BUILTIN.values():
         prev = unit(arch.n0)
         for l, (width, hist) in enumerate(zip(arch.widths, observed), start=1):
             detail.append((g.name, l, leq(hist, phi(g, width, prev))))

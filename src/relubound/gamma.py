@@ -5,7 +5,8 @@ that dominates, under the tail-sum order, the activation histogram any
 width-n' layer on an n-dimensional input can attain. It must also be
 monotone in n. Three built-in collections are provided, ordered from
 crudest to sharpest: NAIVE, ZASLAVSKY, BINOMIAL. Any other collection
-is a GammaCollection(name, rule).
+is a GammaCollection(name, rule). ``check_dims`` and ``check_index_range``
+are the size checks that the whole bound half shares.
 """
 
 from __future__ import annotations
@@ -83,10 +84,15 @@ def check_index_range(*dims: int) -> None:
         raise ValueError(f"dimension {big[0]} exceeds sys.maxsize ({sys.maxsize})")
 
 
+def check_dims(*dims: int, low: int = 1) -> None:
+    """ValueError unless every dimension is an int (a bool is not) of at least ``low``."""
+    if any(type(d) is not int or d < low for d in dims):
+        raise ValueError("dimension out of range")
+
+
 def check_monotonicity(g: GammaCollection, n_prime_max: int) -> bool:
     """True iff gamma_{n,n'} <= gamma_{n+1,n'} for all n < n' <= n_prime_max."""
-    if n_prime_max < 1:
-        raise ValueError("dimension out of range")
+    check_dims(n_prime_max)
     for n_prime in range(1, n_prime_max + 1):
         for n in range(n_prime):
             if not leq(gamma_value(g, n, n_prime), gamma_value(g, n + 1, n_prime)):

@@ -121,4 +121,4 @@ def clip(v: Histogram, i_star: int) -> Histogram:
     """
     if i_star < 0:
         raise ValueError("negative index")
-    return Histogram._trimmed(v.counts[:i_star] + (tail_sum(v, i_star),))
+    return Histogram._trimmed(v.counts[:i_star] + (sum(v.counts[i_star:]),))

@@ -14,11 +14,19 @@ from relubound import (
     ReluLayer,
     ReluNetwork,
     activation_histogram,
+    asymptotic_report,
+    build_bound_matrix,
+    build_connector,
+    build_decomposition,
     check_against_network,
     check_monotonicity,
+    closed_form_norm,
     gamma_value,
     l1_norm,
     leq,
+    power_B,
+    power_J,
+    stirling_weakened,
     triangle_network,
 )
 from relubound.fixtures import TRIANGLE_SIGNATURES_DOWN
@@ -102,6 +110,28 @@ class TestValidation:
             for n in (0, 1):
                 with pytest.raises(ValueError, match=rf"dimension {10**20} exceeds sys.maxsize"):
                     gamma_value(g, n, 10**20)
+
+    @pytest.mark.parametrize("f,args,k", [
+        pytest.param(f, args, k, id=f"{f.__name__}-{k}")
+        for f, args, sizes in [
+            (check_monotonicity, (NAIVE, 3), (1,)),
+            (build_bound_matrix, (NAIVE, 3), (1,)),
+            (build_connector, (3, 2), (0, 1)),
+            (stirling_weakened, (3, 2), (0, 1)),
+            (build_decomposition, (3,), (0,)),
+            (power_J, (3, 2), (0, 1)),
+            (power_B, (3, 2), (0, 1)),
+            (closed_form_norm, (4, 2, 1), (0, 2)),
+            (asymptotic_report, (4, 2), (0, 1)),
+        ]
+        for k in sizes
+    ])
+    def test_size_that_is_not_an_int(self, f, args, k):
+        f(*args)  # valid as given, so each raise below is the bad size's
+        # the float and True pass a ">= 1" check; only the type check rejects them
+        for bad in (float(args[k]), True, str(args[k])):
+            with pytest.raises(ValueError, match="dimension out of range"):
+                f(*args[:k], bad, *args[k + 1:])
 
     def test_monotone_in_n(self):
         for g in (NAIVE, ZASLAVSKY, BINOMIAL):
