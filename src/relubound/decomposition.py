@@ -139,7 +139,8 @@ def closed_form_norm(n: int, i: int, l: int) -> int:
     index adds a correction linear in l.
     """
     check_dims(n, l)
-    if i < 0 or i > n:
+    check_dims(i, low=0)
+    if i > n:
         raise ValueError("index out of range")
     half = n // 2
     sums = binomial_sums(n, min(i, half))

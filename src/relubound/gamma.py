@@ -40,12 +40,31 @@ def _naive_rule(n: int, n_prime: int) -> Histogram:
     return Histogram._trimmed((0,) * n_prime + (2 ** n_prime,))
 
 
-def _binomials(n: int, n_prime: int) -> list[int]:
-    """C(n', 0..n) by the exact recurrence C(n', j+1) = C(n', j) (n'-j) / (j+1)."""
-    out, c = [1], 1
-    for j in range(n):
-        out.append(c := c * (n_prime - j) // (j + 1))
-    return out
+# The last binomial row computed, as one immutable pair (n', C(n', 0..m)).
+_row: tuple[int, tuple[int, ...]] = (0, (1,))
+
+
+def _binomials(n: int, n_prime: int) -> tuple[int, ...]:
+    """C(n', 0..n), sliced from the kept row of the last width asked for.
+
+    The module keeps one row, ``_row = (n', C(n', 0..m))``. A call at the
+    same width slices it, or extends it from its last entry by the exact
+    recurrence C(n', j+1) = C(n', j) (n'-j) / (j+1) when m < n; a call at
+    another width starts again from C(n', 0) = 1. The row grows only as far
+    as a caller asks, never to n' up front, and the pair is rebound in one
+    assignment, so no caller sees one width's row paired with another n'.
+    """
+    global _row
+    width, row = _row
+    if width != n_prime:
+        row = (1,)
+    if len(row) <= n:
+        c, ext = row[-1], []
+        for j in range(len(row) - 1, n):
+            ext.append(c := c * (n_prime - j) // (j + 1))
+        row += tuple(ext)
+    _row = (n_prime, row)
+    return row[:n + 1]
 
 
 def _zaslavsky_rule(n: int, n_prime: int) -> Histogram:
@@ -54,7 +73,7 @@ def _zaslavsky_rule(n: int, n_prime: int) -> Histogram:
 
 def _binomial_rule(n: int, n_prime: int) -> Histogram:
     # C(n', j) sits at index n' - j, so the top n+1 entries are the row reversed.
-    return Histogram._trimmed((0,) * (n_prime - n) + tuple(reversed(_binomials(n, n_prime))))
+    return Histogram._trimmed((0,) * (n_prime - n) + _binomials(n, n_prime)[::-1])
 
 
 NAIVE = GammaCollection("naive", _naive_rule)
@@ -72,7 +91,10 @@ def gamma_value(g: GammaCollection, n: int, n_prime: int) -> Histogram:
     Callers that have n > n' must clamp to min(n, n') themselves; the
     clamping is part of the transition function, not of the collection.
     """
-    if not (0 <= n <= n_prime and 1 <= n_prime <= sys.maxsize):
+    # inline type tests: check_dims costs far more, and phi calls this once per column
+    if not (type(n) is int and type(n_prime) is int
+            and 0 <= n <= n_prime and 1 <= n_prime <= sys.maxsize):
+        check_dims(n, n_prime, low=0)
         check_index_range(n_prime)
         raise ValueError("dimension out of range")
     return g.rule(n, n_prime)

@@ -62,8 +62,8 @@ def zero() -> Histogram:
 
 def unit(i: int) -> Histogram:
     """e_i: a single count at index i."""
-    if i < 0:
-        raise ValueError("negative index")
+    if type(i) is not int or i < 0:
+        raise ValueError("index must be a nonnegative integer")
     return Histogram._trimmed((0,) * i + (1,))
 
 

@@ -65,7 +65,7 @@ def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
 
     Column k is the collection value at (k, n') clipped at k, so zero above k.
     """
-    if n_prime < 1:
+    if type(n_prime) is not int or n_prime < 1:
         raise ValueError("dimension out of range")
 
     def column(k: int) -> tuple[int, ...]:
@@ -94,6 +94,8 @@ def dimension_histogram(multisigs: Iterable[MultiSignature], n0: int) -> Histogr
     The minimum is the dimension cap on the affine image of the region the
     multi-signature labels.
     """
+    if type(n0) is not int:
+        raise ValueError("input dimension must be an integer")
     if n0 < 1:
         raise ValueError("input dimension must be at least 1")
     out = [0] * (n0 + 1)

@@ -1,8 +1,12 @@
 """Gamma collections: values, validation, monotonicity."""
 
 import math
+import tracemalloc
+from itertools import pairwise
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relubound import (
     BINOMIAL,
@@ -21,13 +25,16 @@ from relubound import (
     check_against_network,
     check_monotonicity,
     closed_form_norm,
+    dimension_histogram,
     gamma_value,
     l1_norm,
     leq,
+    phi,
     power_B,
     power_J,
     stirling_weakened,
     triangle_network,
+    unit,
 )
 from relubound.fixtures import TRIANGLE_SIGNATURES_DOWN
 
@@ -99,6 +106,60 @@ class TestAgainstCombDefinition:
             assert gamma_value(ZASLAVSKY, n, n_prime) == expected
 
 
+def comb_value(g: GammaCollection, n: int, n_prime: int) -> Histogram:
+    """The binomial or Zaslavsky value at (n, n'), one math.comb per entry."""
+    row = [math.comb(n_prime, j) for j in range(n + 1)]
+    if g is ZASLAVSKY:
+        return Histogram((0,) * n_prime + (sum(row),))
+    return Histogram((0,) * (n_prime - n) + tuple(reversed(row)))
+
+
+@st.composite
+def call_sequences(draw):
+    """(collection, n, n') calls that switch width, and shrink and grow n at each width."""
+    widths = draw(st.lists(st.integers(1, 40), min_size=2, max_size=6).filter(
+        lambda ws: all(a != b for a, b in pairwise(ws))))
+    calls = []
+    for w in widths:
+        ns = draw(st.lists(st.integers(0, w), min_size=2, max_size=5, unique=True))
+        for n in ns + ns[::-1]:
+            calls.append((draw(st.sampled_from([BINOMIAL, ZASLAVSKY])), n, w))
+    return calls
+
+
+class TestKeptRow:
+    """gamma keeps the last binomial row it computed; no call order may leak a stale one."""
+
+    @given(call_sequences())
+    def test_any_call_order_matches_comb_definition(self, calls):
+        for g, n, n_prime in calls:
+            assert gamma_value(g, n, n_prime) == comb_value(g, n, n_prime)
+
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_rejected_size_leaves_an_int_row(self, bad):
+        gamma_value(BINOMIAL, 0, 7)  # a different width, so the next call starts a row
+        with pytest.raises(ValueError, match="dimension out of range"):
+            gamma_value(BINOMIAL, 1, bad)
+        with pytest.raises(ValueError, match="dimension out of range"):
+            gamma_value(BINOMIAL, bad, 2)
+        for g in (BINOMIAL, ZASLAVSKY):
+            h = gamma_value(g, 2, 2)
+            assert h == comb_value(g, 2, 2)
+            assert all(type(c) is int for c in h.counts)
+
+    def test_row_grows_only_as_far_as_asked(self):
+        gamma_value(BINOMIAL, 1, 3)
+        tracemalloc.start()
+        try:
+            h = gamma_value(BINOMIAL, 2, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.counts[-3:] == (19999 * 10000, 20000, 1)
+        # a row filled to n' = 20000 would hold tens of MiB of big ints
+        assert peak < 2 * 2**20
+
+
 class TestValidation:
     @pytest.mark.parametrize("n,n_prime", [(-1, 3), (4, 3), (0, 0), (1, -2)])
     def test_out_of_range(self, n, n_prime):
@@ -131,6 +192,21 @@ class TestValidation:
         # the float and True pass a ">= 1" check; only the type check rejects them
         for bad in (float(args[k]), True, str(args[k])):
             with pytest.raises(ValueError, match="dimension out of range"):
+                f(*args[:k], bad, *args[k + 1:])
+
+    @pytest.mark.parametrize("f,args,k", [
+        (gamma_value, (BINOMIAL, 1, 2), 1),
+        (gamma_value, (BINOMIAL, 1, 2), 2),
+        (phi, (BINOMIAL, 2, unit(1)), 1),
+        (unit, (1,), 0),
+        (dimension_histogram, ([], 2), 1),
+        (closed_form_norm, (4, 2, 1), 1),
+    ], ids=["gamma_value-n", "gamma_value-n_prime", "phi", "unit",
+            "dimension_histogram", "closed_form_norm-i"])
+    def test_float_or_bool_size_is_a_value_error(self, f, args, k):
+        f(*args)  # valid as given, so each raise below is the bad size's
+        for bad in (float(args[k]), True):
+            with pytest.raises(ValueError):
                 f(*args[:k], bad, *args[k + 1:])
 
     def test_monotone_in_n(self):
