@@ -28,9 +28,9 @@ from .gamma import (
     BINOMIAL, BUILTIN, ZASLAVSKY, GammaCollection, MultiSignature, Signature,
     activation_histogram, gamma_value,
 )
-from .histogram import leq, unit
+from .histogram import l1_norm, leq, unit
 from .simplex import OPTIMAL, Tableau, capped, solve_max
-from .transition import Architecture, dimension_histogram, phi
+from .transition import Architecture, compose_bound_histogram, dimension_histogram, phi
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -210,9 +210,19 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     q times that denominator, are LP rows as they stand; inactive units
     output 0 and cost nothing. One sweep per unit replaces each partial
     signature by its children, bit 0 before bit 1, so the regions come out
-    in lexicographic order; every child goes through one ``_cut`` of its
+    in lexicographic order; a child goes through at most one ``_cut`` of its
     parent's optimal tableau, so empty bit prefixes are pruned early and no
     LP is rebuilt.
+
+    A unit whose composed row has a = 0 is constant on the region, as after
+    an all-inactive layer: in the paper's terms column 0 of every bound
+    matrix is e_0, so the region has exactly one child for it and no LP
+    decides which. If c <= 0 that child is bit 0, which keeps its parent's
+    tableau: no copy and no row. If c > 0 it is bit 1, whose row d t <= c
+    caps t and so still goes through ``_cut``. A left-out row has a = 0 and
+    rhs >= 0, so it would never leave the basis; leaving it out shifts later
+    slack labels but keeps their order, and Bland's path and the witnesses
+    are the same.
     """
     d, rows = region.live
     q, weights, biases = layer
@@ -227,8 +237,14 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     # region, the box itself) already proved the region's constraints feasible.
     partial = [((), region.tableau)]
     for f in funcs:
-        partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
-                   if (child := _cut(tab, f, d, bit)) is not None]
+        if any(f[:-1]):
+            partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
+                       if (child := _cut(tab, f, d, bit)) is not None]
+        elif f[-1] <= 0:  # constant off: bit 0 holds on the whole region, with no row
+            partial = [(bits + (0,), tab) for bits, tab in partial]
+        else:  # constant on: bit 0 is empty, and bit 1's row d t <= c caps t
+            partial = [(bits + (1,), child) for bits, tab in partial
+                       if (child := _cut(tab, f, d, 1)) is not None]
     return [Region(region.prefix + (bits,), tab,
                    (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)))
             for bits, tab in partial]
@@ -241,7 +257,11 @@ def enumerate_regions(
     allow_large: bool = False,
 ) -> EnumerationResult:
     """Exact enumeration of attained multi-signatures in the box, depth-first over
-    an explicit stack; records come in that order, which sorts their prefixes."""
+    an explicit stack; records come in that order, which sorts their prefixes.
+
+    A unit that is constant on a region (its composed row has a = 0) gives
+    the region one child and costs no LP, or one LP if it is on: column 0
+    of every bound matrix is e_0 (see ``_expand_region``)."""
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
     # Each layer in ints, made per call: W q and b q, q the lcm of its denominators.
@@ -367,12 +387,18 @@ def verify_network(
     *,
     allow_large: bool = False,
 ) -> VerificationReport:
-    """Enumerate, bound, and check the whole chain for one network."""
+    """Enumerate, bound, and check the whole chain for one network.
+
+    The binomial and Zaslavsky bounds are pushed through ``phi`` layer by
+    layer from e_min(n0, n1), as ``compose_bound_histogram`` does: the same
+    values as ``bound_matrices.evaluate_bound``, from L ``phi`` calls and
+    no bound matrix.
+    """
     enumeration = enumerate_regions(net, box_radius, allow_large=allow_large)
     arch = net.architecture
     count = enumeration.count
-    binom = bound_matrices.evaluate_bound(BINOMIAL, arch)
-    zasl = bound_matrices.evaluate_bound(ZASLAVSKY, arch)
+    binom = l1_norm(compose_bound_histogram(BINOMIAL, arch))
+    zasl = l1_norm(compose_bound_histogram(ZASLAVSKY, arch))
     naive = bound_matrices.naive_bound(arch)
     detail = recursion_checks(net, enumeration)
     return VerificationReport(

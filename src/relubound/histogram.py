@@ -60,10 +60,18 @@ def zero() -> Histogram:
     return Histogram(())
 
 
+def _check_index(i: int) -> None:
+    """An index is an int >= 0; a bool or a float is not one. ``gamma.check_dims``
+    is not used here because ``gamma`` imports this module."""
+    if type(i) is not int:
+        raise ValueError(f"index must be an int, not {type(i).__name__}")
+    if i < 0:
+        raise ValueError("negative index")
+
+
 def unit(i: int) -> Histogram:
     """e_i: a single count at index i."""
-    if type(i) is not int or i < 0:
-        raise ValueError("index must be a nonnegative integer")
+    _check_index(i)
     return Histogram._trimmed((0,) * i + (1,))
 
 
@@ -84,8 +92,7 @@ def l1_norm(v: Histogram) -> int:
 
 def tail_sum(v: Histogram, J: int) -> int:
     """Sum of entries at indices >= J."""
-    if J < 0:
-        raise ValueError("negative index")
+    _check_index(J)
     return sum(v.counts[J:])
 
 
@@ -119,6 +126,5 @@ def clip(v: Histogram, i_star: int) -> Histogram:
     sum from i_star, and everything above is zero. The result is always
     dominated by v and has the same total mass.
     """
-    if i_star < 0:
-        raise ValueError("negative index")
+    _check_index(i_star)
     return Histogram._trimmed(v.counts[:i_star] + (sum(v.counts[i_star:]),))

@@ -29,6 +29,7 @@ from relubound.fixtures import (
     TRIANGLE_SIGNATURES_DOWN,
     TRIANGLE_SIGNATURES_UP,
 )
+from test_line_oracle import line_multisignatures
 
 F = Fraction
 BOX10 = F(10)
@@ -253,7 +254,7 @@ class TestEnumeration:
         assert peak < 1.5 * 2 ** 20
 
     def test_no_constraint_system_solved_twice(self, monkeypatch):
-        """One warm-started LP per child, each called from _expand_region,
+        """At most one warm-started LP per child, each called from _expand_region,
         and a child whose row holds at its parent's optimum costs no pivot."""
         solved = []
         pivots = []
@@ -285,7 +286,7 @@ class TestEnumeration:
         monkeypatch.setattr(empirical, "solve_max", recording)
         enumerate_regions(random_network(Architecture(2, (3, 2)), 4), F(10))
         assert len(solved) == len(set(solved))
-        assert len(solved) == 48
+        assert len(solved) == 45
         assert all(n == 0 for holds, n in cost if holds)
         assert {holds for holds, _ in cost} == {True, False}
 
@@ -323,7 +324,7 @@ class TestEnumeration:
         monkeypatch.setattr(simplex, "_pivot", counting_pivot)
         monkeypatch.setattr(empirical, "solve_max", counting_solve)
         result = enumerate_regions(random_network(Architecture(3, (5, 5, 5)), 7))
-        assert (result.count, len(lps), len(pivots)) == (302, 2450, 2134)
+        assert (result.count, len(lps), len(pivots)) == (302, 2378, 2112)
 
 
 def scaled_network(net, s):
@@ -377,6 +378,36 @@ class TestIntegerRows:
             assert any(not live for _, live in lives)
 
 
+# Zero-weight units after one that splits: constant off (bias < 0 and = 0), then on.
+CONSTANT_UNITS = ReluNetwork(1, (ReluLayer([[1]], [0]), ReluLayer([[1], [0], [0], [0]], [-1, -1, 0, 1])))
+
+
+class TestConstantUnits:
+    @pytest.mark.parametrize("net, on_calls", [(DEAD_FIRST_LAYER, 1), (CONSTANT_UNITS, 3)],
+                             ids=["dead-first-layer", "zero-weights"])
+    def test_no_lp_decides_a_constant_unit(self, net, on_calls, monkeypatch):
+        """A unit whose row has a = 0 on a region is decided without an LP if
+        c <= 0, and by one LP per partial signature, for bit 1, if c > 0.
+
+        DEAD_FIRST_LAYER's region x <= 0 has one partial signature at its
+        constant-on unit; CONSTANT_UNITS has one there and two on x > 0.
+        """
+        constant = []
+        solve_max = empirical.solve_max
+
+        def recording(tab, rows):
+            constant.extend(row for row in rows if not any(row[:net.n0]))
+            return solve_max(tab, rows)
+
+        monkeypatch.setattr(empirical, "solve_max", recording)
+        result = enumerate_regions(net, BOX10)
+        # Only bit 1 of a unit with c > 0: the row d t <= c with d, c > 0.
+        assert all(row[net.n0] > 0 and row[-1] > 0 for row in constant)
+        assert len(constant) == on_calls
+        layers = [(layer.weights, layer.biases) for layer in net.layers]
+        assert result.multisignatures == line_multisignatures(layers, BOX10)
+
+
 class TestWitnesses:
     def test_witnesses_on_degenerate_networks(self):
         """Every record's witness lies in the box and realizes its prefix."""
@@ -416,6 +447,14 @@ class TestSampling:
 
     def test_saturates_fixture(self):
         assert sample_count(triangle_network(), 4000, BOX10, seed=1) == 7
+
+    def test_finds_a_region_narrower_than_a_coarse_grid(self):
+        """Both units are on only for 1/300 < x < 2/300, a sliver 1/600 of
+        the box [-1, 1] that no multiple of 1/100 hits: the samples come from
+        a finer grid."""
+        net = ReluNetwork(1, (ReluLayer([[1], [-1]], [F(-1, 300), F(2, 300)]),))
+        assert enumerate_regions(net, 1).count == 3
+        assert sample_count(net, 3000, 1, seed=0) == 3
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):

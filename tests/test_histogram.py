@@ -80,6 +80,18 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="negative index"):
             tail_sum(v, -1)
 
+    @pytest.mark.parametrize("index, message", [
+        (True, "must be an int, not bool"),
+        (1.0, "must be an int, not float"),
+        (-1, "negative index"),
+    ])
+    @pytest.mark.parametrize("f", [tail_sum, clip, lambda v, i: unit(i)], ids=["tail_sum", "clip", "unit"])
+    def test_index_is_a_nonnegative_int(self, f, index, message):
+        """tail_sum(v, True) would read as tail_sum(v, 1), and 1.0 would
+        raise a bare TypeError from the slice."""
+        with pytest.raises(ValueError, match=message):
+            f(Histogram((1, 2, 3)), index)
+
 
 class TestDominanceOrder:
     def test_shifted_mass_dominates(self):
