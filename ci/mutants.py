@@ -1,0 +1,106 @@
+"""Mutants of ``src/`` that named tier-1 tests must kill.
+
+    python ci/mutants.py
+
+Each entry is a file, an exact text that occurs in it once, the text that
+replaces it, and the test ids that must fail on the mutant. The script
+copies the repository's tracked and untracked, unignored files into a
+temporary directory, never touching the checkout, and runs every entry's
+ids there: first all of them on the unmutated copy, where each must pass,
+then each entry's own ids with its one replacement made, where each must
+fail. It exits 1 if a text is not found exactly once, an id does not pass
+unmutated, or a mutant survives. Equivalent mutants are left out.
+Standard library only; pytest runs in a subprocess.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIMPLEX = "src/relubound/simplex.py"
+EMPIRICAL = "src/relubound/empirical.py"
+
+# (file, old text, new text, test ids that must fail)
+MUTANTS = (
+    (SIMPLEX, "\n    tab.answer = None\n", "\n",  # a pivot keeps the last vertex's answer
+     ["tests/test_simplex.py::TestAnswerReuse::test_random_copy_append_pivot_sequences"]),
+    (EMPIRICAL, "child.obj[-1] > 0", "child.obj[-1] >= 0",  # a child with t* = 0 kept
+     ["tests/test_empirical.py::TestFeasible::test_opposite_strict_pair_is_empty",
+      "tests/test_empirical.py::TestRegionLP::test_one_layer[coincident]"]),
+    (SIMPLEX, "g = gcd(*values) or 1", "g = 1",  # int rows enter without their gcd divided out
+     ["tests/test_simplex.py::TestRowChecks::test_rows_enter_coprime"]),
+    (EMPIRICAL, "elif f[-1] <= 0:", "elif f[-1] < 0:",  # a constant unit with c = 0 loses its region
+     ["tests/test_empirical.py::TestConstantUnits::test_no_lp_decides_a_constant_unit[zero-weights]"]),
+    (EMPIRICAL, "grid = 10 ** 9", "grid = 10 ** 2",  # samples on a grid coarser than a region
+     ["tests/test_empirical.py::TestSampling::test_finds_a_region_narrower_than_a_coarse_grid"]),
+)
+
+
+def copy_checkout(dest: Path) -> None:
+    """The files git would see in the checkout (tracked, or untracked and not ignored)."""
+    listed = subprocess.run(
+        ["git", "ls-files", "--cached", "--others", "--exclude-standard", "-z"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, listed):
+        source = ROOT / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(source.read_bytes())
+
+
+def run(copy: Path, ids: list[str]) -> tuple[int | None, set[str]]:
+    """pytest's exit status on ``ids`` in ``copy`` (None on a timeout) and the
+    ids that failed or errored, or sit in a file that did not collect."""
+    # No bytecode is written, so a mutant of the same size and mtime is never
+    # run from a stale .pyc; the copy's src/ comes before an installed relubound.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy / "src")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *ids],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=600,
+        )
+    except subprocess.TimeoutExpired:
+        return None, set(ids)
+    reported = {line.split(" ")[1] for line in done.stdout.splitlines()
+                if line.startswith(("FAILED ", "ERROR "))}
+    return done.returncode, {i for i in ids if {i, i.split("::")[0]} & reported}
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="relubound-mutants-") as tmp:
+        copy = Path(tmp)
+        copy_checkout(copy)
+        all_ids = sorted({i for *_, ids in MUTANTS for i in ids})
+        status, failed = run(copy, all_ids)
+        if status != 0:  # 4 or 5: an id that names no test
+            problems.append(f"unmutated, pytest exits {status}; failing: {sorted(failed)}")
+        for path, old, new, ids in MUTANTS:
+            source = copy / path
+            text = source.read_text(encoding="utf-8")
+            label = f"{path}: {old.strip()!r} -> {new.strip()!r}"
+            if text.count(old) != 1:
+                problems.append(f"{label}: found {text.count(old)} times, not once")
+                continue
+            source.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                failed = run(copy, ids)[1]
+                survivors = [i for i in ids if i not in failed]
+            finally:
+                source.write_text(text, encoding="utf-8")
+            print(f"{'survived' if survivors else 'killed'}: {label}")
+            problems.extend(f"{label}: survives {i}" for i in survivors)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -162,12 +163,13 @@ def _root(radius: Fraction, n0: int) -> Region:
 def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
     """The child LP: ``tab`` plus the row of f = (a, c) over d > 0,
     a.z + c >= d t if bit is 1 and a.z + c <= 0 if it is 0, both in ints;
-    None if the child is empty, that is unless the LP is optimal with t* > 0."""
+    None if the child is empty, that is unless the LP is optimal with t* > 0,
+    whose sign is that of the int obj[-1]: t* = obj[-1] g / (d m), g, m, d > 0."""
     *a, c = f
     row = [*(-x for x in a), d, c] if bit else [*a, 0, -c]
     child = tab.copy()
-    status, value, _ = solve_max(child, [row])
-    return child if status == OPTIMAL and value > 0 else None
+    status, _, _ = solve_max(child, [row])
+    return child if status == OPTIMAL and child.obj[-1] > 0 else None
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,12 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     """
     d, rows = region.live
     q, weights, biases = layer
-    columns = range(region.tableau.n)  # n0 + 1 LP variables (z, t), as many as (A, C) has
+    width = region.tableau.n  # n0 + 1 LP variables (z, t), as many as (A, C) has
     funcs = []
     for w_row, b in zip(weights, biases):
-        f = [sum(w_row[k] * g[j] for k, g in rows) for j in columns]
+        f = [0] * width
+        for k, g in rows:
+            f = list(map(add, f, map(w_row[k].__mul__, g)))
         f[-1] += b * d
         funcs.append(f)
     d *= q

@@ -4,8 +4,9 @@ Maximizes c.z subject to A z <= b, z >= 0. The tableau holds Python ints
 over one common denominator ``d > 0``, the basis determinant's absolute
 value (Edmonds 1967; Bareiss 1968), so a pivot divides exactly and no
 entry needs a gcd. Every sign test compares an int with zero, so the
-answer is exact and Bland's rule guarantees termination; only the results
-are ``Fraction``s.
+answer is exact and Bland's rule guarantees termination. Only the answer,
+the value and the point, is made of ``Fraction``s, once per vertex: a
+tableau keeps it, its copies share it, and a pivot clears it.
 
 Variables carry labels: 0..n-1 structural, then one slack per row in the
 order the rows arrive. The condensed ("dictionary") tableau keeps one row
@@ -34,20 +35,22 @@ INFEASIBLE = "infeasible"
 
 
 class Tableau:
-    """An optimal condensed tableau over ``n`` structural variables."""
+    """An optimal condensed tableau over ``n`` structural variables; ``answer``
+    is its vertex's (value, point), or None until ``solve_max`` makes it."""
 
-    __slots__ = ("n", "table", "obj", "basis", "nonbasic", "d", "scale")
+    __slots__ = ("n", "table", "obj", "basis", "nonbasic", "d", "scale", "answer")
 
-    def __init__(self, n, table, obj, basis, nonbasic, d, scale):
+    def __init__(self, n, table, obj, basis, nonbasic, d, scale, answer=None):
         self.n, self.table, self.obj = n, table, obj
         self.basis, self.nonbasic = basis, nonbasic
-        self.d, self.scale = d, scale
+        self.d, self.scale, self.answer = d, scale, answer
 
     def copy(self) -> Tableau:
         # _pivot builds new rows and never edits one, so copies share rows
         # until a pivot replaces them (every row, unless |p| = d and f = 0).
+        # An appended row moves no vertex, so copies share the answer too.
         return Tableau(self.n, self.table[:], self.obj, self.basis[:],
-                       self.nonbasic[:], self.d, self.scale)
+                       self.nonbasic[:], self.d, self.scale, self.answer)
 
     def point(self) -> list[Fraction]:
         """The structural variables' values at the current basic solution."""
@@ -59,12 +62,18 @@ class Tableau:
 
 
 def _coprime(values: Sequence) -> tuple[list[int], int, int]:
-    """Coprime ints k and ints g, m > 0 with values = k * g / m, for
-    rationals given as ints or Fractions (all zero: k = values, g = 1)."""
+    """Coprime ints k and ints g, m > 0 with values = k * g / m, for rationals
+    given as ints or Fractions (all zero: k = values, g = 1), else ValueError."""
+    types = set(map(type, values))
+    if types == {int}:  # every row the enumerator makes
+        g = gcd(*values) or 1
+        return [x // g for x in values], g, 1
+    if not types <= {int, Fraction}:
+        raise ValueError(f"an entry is a {(types - {int, Fraction}).pop().__name__}, "
+                         "not an int or a Fraction")
     m = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (m // x.denominator) for x in values]
-    g = gcd(*ints) or 1
-    return [x // g for x in ints], g, m
+    k, g, _ = _coprime([x.numerator * (m // x.denominator) for x in values])
+    return k, g, m
 
 
 def capped(objective: Sequence, caps: Sequence) -> Tableau:
@@ -86,10 +95,13 @@ def solve_max(tab: Tableau, rows: Sequence[Sequence]):
     """Append rows (a_0, ..., a_{n-1}, b), each a.z <= b, to the optimal
     tableau ``tab`` and re-optimize it in place. Returns (status, value,
     solution), with value and solution None unless status is "optimal".
+    Raises ValueError, before any row enters, unless every row is n + 1
+    ints or Fractions.
     """
     n, table, basis, nonbasic = tab.n, tab.table, tab.basis, tab.nonbasic
-    for a in rows:
-        a, _, _ = _coprime(a)
+    if any(len(a) != n + 1 for a in rows):
+        raise ValueError(f"a row needs n + 1 = {n + 1} entries")
+    for a in [_coprime(a)[0] for a in rows]:
         d = tab.d
         new = [a[v] * d if v < n else 0 for v in nonbasic]
         new.append(a[-1] * d)
@@ -102,8 +114,10 @@ def solve_max(tab: Tableau, rows: Sequence[Sequence]):
     while True:
         low = [i for i, row in enumerate(table) if row[-1] < 0]
         if not low:
-            g, m = tab.scale
-            return OPTIMAL, Fraction(tab.obj[-1] * g, tab.d * m), tab.point()
+            if tab.answer is None:
+                g, m = tab.scale
+                tab.answer = Fraction(tab.obj[-1] * g, tab.d * m), tuple(tab.point())
+            return OPTIMAL, tab.answer[0], list(tab.answer[1])
         r = min(low, key=basis.__getitem__)
         row, obj = table[r], tab.obj
         # Dual ratio test: least obj[j] / -row[j] over row[j] < 0 (d cancels),
@@ -144,3 +158,4 @@ def _pivot(tab: Tableau, r: int, e: int) -> None:
     row[e] = sign * d
     tab.d = p
     tab.basis[r], tab.nonbasic[e] = tab.nonbasic[e], tab.basis[r]
+    tab.answer = None

@@ -29,6 +29,7 @@ from relubound.fixtures import (
     TRIANGLE_SIGNATURES_DOWN,
     TRIANGLE_SIGNATURES_UP,
 )
+from test_enumeration_golden import degenerate_network
 from test_line_oracle import line_multisignatures
 
 F = Fraction
@@ -305,6 +306,26 @@ class TestEnumeration:
         result = enumerate_regions(random_network(Architecture(2, (3, 3, 2)), 5), BOX10)
         assert result.count == 17
         assert len(points) == result.count
+
+    def test_child_kept_on_the_sign_of_its_int_optimum(self, monkeypatch):
+        """_cut reads t* > 0 from the int obj[-1]: over seeded enumerations,
+        every optimal LP's value is positive iff its tableau's obj[-1] is."""
+        signs = set()
+        solve_max = empirical.solve_max
+
+        def recording(tab, rows):
+            result = solve_max(tab, rows)
+            if result[0] == simplex.OPTIMAL:
+                assert (result[1] > 0) == (tab.obj[-1] > 0)
+                signs.add(result[1] > 0)
+            return result
+
+        monkeypatch.setattr(empirical, "solve_max", recording)
+        for seed in range(40):
+            enumerate_regions(degenerate_network(seed), BOX10)
+        for arch, seed in [(Architecture(2, (3, 2)), 4), (Architecture(2, (3, 3, 2)), 5)]:
+            enumerate_regions(random_network(arch, seed), F(7, 3))
+        assert signs == {True, False}
 
     def test_bland_path_is_pinned(self, monkeypatch):
         """Regions, LPs and simplex pivots of one seeded depth-3 enumeration:

@@ -283,3 +283,74 @@ class TestDegenerate:
         assert len(pivots) == 1
         assert solve_max(tab, []) == (OPTIMAL, 5, [5, 0])
         assert len(pivots) == 1
+
+
+class TestRowChecks:
+    @pytest.mark.parametrize("row", [[1, 2], [1, 2, 3, 4], [True, 1, 1], [1.5, 1, 1],
+                                     [F(1, 2), 1, 1.0], ["1", 1, 1]],
+                             ids=["short", "long", "bool", "float", "fraction-and-float", "str"])
+    def test_bad_row_raises_before_any_row_enters(self, row):
+        tab = capped([F(1), F(1)], [F(5), F(5)])
+        before = (tab.table[:], tab.basis[:], tab.obj, tab.d)
+        with pytest.raises(ValueError):
+            solve_max(tab, [[1, 1, 6], row])
+        assert (tab.table, tab.basis, tab.obj, tab.d) == before
+        assert solve_max(tab, [[1, 1, 6]])[:2] == (OPTIMAL, 6)
+
+    def test_rows_enter_coprime(self):
+        assert simplex._coprime([4, -6, 0, 8]) == ([2, -3, 0, 4], 2, 1)
+        assert simplex._coprime([F(2, 3), F(-4, 9), 0]) == ([3, -2, 0], 2, 9)
+        assert simplex._coprime([0, 0]) == ([0, 0], 1, 1)
+        # A row and a positive multiple of it leave the same tableau.
+        tabs = [capped([F(1), F(2)], [F(5), F(5)]) for _ in range(3)]
+        for tab, row in zip(tabs, ([1, 1, 4], [3, 3, 12], [F(1, 2), F(1, 2), 2])):
+            solve_max(tab, [row])
+        assert tabs[0].table == tabs[1].table == tabs[2].table
+
+
+class TestAnswerReuse:
+    """A tableau keeps its vertex's (value, point): its copies share it and
+    a pivot clears it, so each answer is the one the tableau reads now."""
+
+    @staticmethod
+    def fresh(tab):
+        g, m = tab.scale
+        return F(tab.obj[-1] * g, tab.d * m), tab.point()
+
+    def test_random_copy_append_pivot_sequences(self, pivots):
+        rng = random.Random(3)
+        kept = moved = 0
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            pool = [capped([F(rng.randint(-3, 3)) for _ in range(n)],
+                           [F(rng.randint(0, 6)) for _ in range(n)])]
+            for _ in range(rng.randint(1, 15)):
+                tab = rng.choice(pool)
+                op = rng.choice(("copy", "append", "cut", "read"))
+                if op == "copy":
+                    pool.append(tab.copy())
+                    assert pool[-1].answer is tab.answer
+                    continue
+                a = [rng.randint(-3, 3) for _ in range(n)]
+                if op == "append":
+                    rows = [a + [rng.randint(-2, 6)]]
+                elif op == "cut":  # a row the current vertex violates: a pivot or INFEASIBLE
+                    z = tab.point()
+                    rows = [a + [sum(x * v for x, v in zip(a, z)) - F(1, rng.randint(1, 3))]]
+                else:
+                    rows = []
+                answered, before = tab.answer is not None, len(pivots)
+                status, value, sol = solve_max(tab, rows)
+                if status == INFEASIBLE:
+                    pool.remove(tab)
+                    if not pool:
+                        break
+                    continue
+                assert (value, sol) == self.fresh(tab)
+                kept += answered and len(pivots) == before
+                moved += answered and len(pivots) > before
+                sol[0] += 1
+                sol.append(F(-1))
+                assert solve_max(tab, []) == (OPTIMAL, *self.fresh(tab))
+        # Answers reused with no pivot, and answers a pivot replaced.
+        assert kept > 50 and moved > 50
