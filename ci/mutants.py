@@ -4,18 +4,20 @@
 
 Each entry is a file, an exact text that occurs in it once, the text that
 replaces it, and the test ids that must fail on the mutant. The script
-copies the repository's tracked and untracked, unignored files into a
-temporary directory, never touching the checkout, and runs every entry's
-ids there: first all of them on the unmutated copy, where each must pass,
-then each entry's own ids with its one replacement made, where each must
-fail. It exits 1 if a text is not found exactly once, an id does not pass
-unmutated, or a mutant survives. Equivalent mutants are left out.
-Standard library only; pytest runs in a subprocess.
+copies the repository's tracked and untracked, unignored files (or, with
+no git repository, its tree) into a temporary directory, never touching
+the checkout, and runs every entry's ids there: first all of them on the
+unmutated copy, where each must pass, then each entry's own ids with its
+one replacement made, where each must fail. It exits 1 if a text is not
+found exactly once, an id does not pass unmutated, or a mutant survives.
+Equivalent mutants are left out, and so are mutants whose survivor would
+hang. Standard library only; pytest runs in a subprocess.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIMPLEX = "src/relubound/simplex.py"
 EMPIRICAL = "src/relubound/empirical.py"
+TRANSITION = "src/relubound/transition.py"
 
 # (file, old text, new text, test ids that must fail)
 MUTANTS = (
@@ -34,19 +37,33 @@ MUTANTS = (
       "tests/test_empirical.py::TestRegionLP::test_one_layer[coincident]"]),
     (SIMPLEX, "g = gcd(*values) or 1", "g = 1",  # int rows enter without their gcd divided out
      ["tests/test_simplex.py::TestRowChecks::test_rows_enter_coprime"]),
-    (EMPIRICAL, "elif f[-1] <= 0:", "elif f[-1] < 0:",  # a constant unit with c = 0 loses its region
+    (EMPIRICAL, "if (c > 0) != bit:", "if (c >= 0) != bit:",  # a constant unit with c = 0 loses its region
      ["tests/test_empirical.py::TestConstantUnits::test_no_lp_decides_a_constant_unit[zero-weights]"]),
+    (TRANSITION, "not 1 <= n_prime <= sys.maxsize", "n_prime < 1",  # a width past the index range read
+     ["tests/test_transition.py::TestPhi::test_width_past_index_range"]),
+    (SIMPLEX, "type(u) in (int, Fraction)", "isinstance(u, (int, Fraction))",  # a True cap read as 1
+     ["tests/test_simplex.py::TestCapChecks::test_bad_caps_raise[bool]"]),
     (EMPIRICAL, "grid = 10 ** 9", "grid = 10 ** 2",  # samples on a grid coarser than a region
      ["tests/test_empirical.py::TestSampling::test_finds_a_region_narrower_than_a_coarse_grid"]),
 )
 
 
 def copy_checkout(dest: Path) -> None:
-    """The files git would see in the checkout (tracked, or untracked and not ignored)."""
-    listed = subprocess.run(
-        ["git", "ls-files", "--cached", "--others", "--exclude-standard", "-z"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
-    ).stdout.split("\0")
+    """The files git would see in the checkout (tracked, or untracked and not
+    ignored); outside a git repository, as in a ``git archive`` copy, the whole
+    tree but ``.git`` and the directories ``.gitignore`` names."""
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "--cached", "--others", "--exclude-standard", "-z"],
+            cwd=ROOT, check=True, capture_output=True, text=True,
+        ).stdout.split("\0")
+    except (OSError, subprocess.CalledProcessError):
+        ignore = ROOT / ".gitignore"
+        lines = ignore.read_text(encoding="utf-8").split() if ignore.is_file() else []
+        skip = [line.strip("/") for line in lines if line.endswith("/")]
+        shutil.copytree(ROOT, dest, dirs_exist_ok=True,
+                        ignore=shutil.ignore_patterns(".git", "__pycache__", *skip))
+        return
     for name in filter(None, listed):
         source = ROOT / name
         if source.is_file():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from typing import Iterator
 
-from .gamma import GammaCollection, check_dims
+from .gamma import GammaCollection, check_dims, check_index_range
 from .histogram import unit
 from .transition import Architecture, layer_step, phi
 
@@ -58,6 +58,7 @@ def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
 
 def build_connector(n: int, n_prime: int) -> ConnectorMatrix:
     check_dims(n, n_prime, low=0)
+    check_index_range(n, n_prime)
     rows = tuple(
         tuple(1 if i == min(j, n_prime) else 0 for j in range(n + 1))
         for i in range(n_prime + 1)

@@ -53,10 +53,7 @@ def parse_widths(text: str) -> tuple[int, ...]:
             raise argparse.ArgumentTypeError(
                 f"repetition count {reps} exceeds sys.maxsize ({sys.maxsize})")
         return (width,) * reps
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad widths: {text!r}")
+    return parse_int_list(text)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:

@@ -164,8 +164,20 @@ def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
     """The child LP: ``tab`` plus the row of f = (a, c) over d > 0,
     a.z + c >= d t if bit is 1 and a.z + c <= 0 if it is 0, both in ints;
     None if the child is empty, that is unless the LP is optimal with t* > 0,
-    whose sign is that of the int obj[-1]: t* = obj[-1] g / (d m), g, m, d > 0."""
+    whose sign is that of the int obj[-1]: t* = obj[-1] g / (d m), g, m, d > 0.
+
+    A unit with a = 0 is constant on the region (in the paper's terms, column
+    0 of every bound matrix is e_0), so one bit holds on all of it and no LP
+    decides which: bit 0 if c <= 0, as ``tab`` itself with no copy and no
+    row, else bit 1, whose row d t <= c caps t and so is solved. A left-out
+    row (a = 0, rhs >= 0) never leaves the basis and later slack labels keep
+    their order, so Bland's path and the witnesses are the same."""
     *a, c = f
+    if not any(a):
+        if (c > 0) != bit:
+            return None
+        if not bit:
+            return tab
     row = [*(-x for x in a), d, c] if bit else [*a, 0, -c]
     child = tab.copy()
     status, _, _ = solve_max(child, [row])
@@ -212,19 +224,10 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     q times that denominator, are LP rows as they stand; inactive units
     output 0 and cost nothing. One sweep per unit replaces each partial
     signature by its children, bit 0 before bit 1, so the regions come out
-    in lexicographic order; a child goes through at most one ``_cut`` of its
-    parent's optimal tableau, so empty bit prefixes are pruned early and no
-    LP is rebuilt.
-
-    A unit whose composed row has a = 0 is constant on the region, as after
-    an all-inactive layer: in the paper's terms column 0 of every bound
-    matrix is e_0, so the region has exactly one child for it and no LP
-    decides which. If c <= 0 that child is bit 0, which keeps its parent's
-    tableau: no copy and no row. If c > 0 it is bit 1, whose row d t <= c
-    caps t and so still goes through ``_cut``. A left-out row has a = 0 and
-    rhs >= 0, so it would never leave the basis; leaving it out shifts later
-    slack labels but keeps their order, and Bland's path and the witnesses
-    are the same.
+    in lexicographic order; ``_cut`` alone decides each child from its
+    parent's optimal tableau, with at most one LP, so empty bit prefixes are
+    pruned early and no LP is rebuilt. A unit that is constant on the region
+    gives it one child, decided there without an LP unless it is on.
     """
     d, rows = region.live
     q, weights, biases = layer
@@ -241,14 +244,8 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     # region, the box itself) already proved the region's constraints feasible.
     partial = [((), region.tableau)]
     for f in funcs:
-        if any(f[:-1]):
-            partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
-                       if (child := _cut(tab, f, d, bit)) is not None]
-        elif f[-1] <= 0:  # constant off: bit 0 holds on the whole region, with no row
-            partial = [(bits + (0,), tab) for bits, tab in partial]
-        else:  # constant on: bit 0 is empty, and bit 1's row d t <= c caps t
-            partial = [(bits + (1,), child) for bits, tab in partial
-                       if (child := _cut(tab, f, d, 1)) is not None]
+        partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
+                   if (child := _cut(tab, f, d, bit)) is not None]
     return [Region(region.prefix + (bits,), tab,
                    (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)))
             for bits, tab in partial]
@@ -265,7 +262,7 @@ def enumerate_regions(
 
     A unit that is constant on a region (its composed row has a = 0) gives
     the region one child and costs no LP, or one LP if it is on: column 0
-    of every bound matrix is e_0 (see ``_expand_region``)."""
+    of every bound matrix is e_0 (see ``_cut``)."""
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
     # Each layer in ints, made per call: W q and b q, q the lcm of its denominators.
@@ -297,7 +294,7 @@ def sample_count(
 
     Deterministic for a given seed; always a lower bound on the exact count.
     """
-    if samples < 1:
+    if type(samples) is not int or samples < 1:
         raise ValueError("need at least one sample")
     radius = _box_radius(box_radius)
     rng = random.Random(seed)
@@ -313,7 +310,7 @@ def sample_count(
 
 def random_network(arch: Architecture, seed: int, scale: int = 1000) -> ReluNetwork:
     """Network with weights and biases p/scale, p uniform in [-scale, scale]."""
-    if scale < 1:
+    if type(scale) is not int or scale < 1:
         raise ValueError("scale must be at least 1")
     rng = random.Random(seed)
     layers = []

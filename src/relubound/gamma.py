@@ -25,8 +25,9 @@ MultiSignature = tuple[Signature, ...]
 class GammaCollection:
     """A named rule (n, n') -> Histogram.
 
-    ``rule`` may assume 0 <= n <= n' and n' >= 1; use :func:`gamma_value`
-    for validated access. Instances are immutable.
+    ``rule`` may assume 0 <= n <= n' and n' >= 1: ``phi`` checks n' once
+    per call and reads the rule directly; use :func:`gamma_value` for
+    validated access. Instances are immutable.
     """
 
     name: str
@@ -91,7 +92,6 @@ def gamma_value(g: GammaCollection, n: int, n_prime: int) -> Histogram:
     Callers that have n > n' must clamp to min(n, n') themselves; the
     clamping is part of the transition function, not of the collection.
     """
-    # inline type tests: check_dims costs far more, and phi calls this once per column
     if not (type(n) is int and type(n_prime) is int
             and 0 <= n <= n_prime and 1 <= n_prime <= sys.maxsize):
         check_dims(n, n_prime, low=0)
@@ -124,6 +124,7 @@ def check_monotonicity(g: GammaCollection, n_prime_max: int) -> bool:
 
 def activation_histogram(signatures: Iterable[Signature], n_prime: int) -> Histogram:
     """Histogram of active-unit counts |s| over a set of signatures."""
+    check_dims(n_prime)
     out = [0] * (n_prime + 1)
     for s in signatures:
         if len(s) != n_prime:

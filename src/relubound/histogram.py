@@ -81,7 +81,7 @@ def add(a: Histogram, b: Histogram) -> Histogram:
 
 
 def scale(k: int, a: Histogram) -> Histogram:
-    if k < 0:
+    if type(k) is not int or k < 0:  # bool is not a count
         raise ValueError("negative count")
     return Histogram(tuple(k * x for x in a.counts))
 

@@ -78,8 +78,12 @@ def _coprime(values: Sequence) -> tuple[list[int], int, int]:
 
 def capped(objective: Sequence, caps: Sequence) -> Tableau:
     """Optimal tableau of max c.z s.t. z <= caps, z >= 0 (every cap >= 0):
-    each z_j with c_j > 0 enters at its own cap row j in one primal pivot."""
+    each z_j with c_j > 0 enters at its own cap row j in one primal pivot.
+    Raises ValueError, before anything is built, unless there is one cap per
+    objective entry and each is an int or a Fraction (a bool is not one)."""
     n = len(objective)
+    if len(caps) != n or not all(type(u) in (int, Fraction) and u >= 0 for u in caps):
+        raise ValueError(f"need n = {n} caps, each an int or a Fraction >= 0")
     # Cap row i, z_i <= p/q, enters as q z_i <= p.
     table = [[cap.denominator * (i == j) for j in range(n)] + [cap.numerator]
              for i, cap in enumerate(caps)]

@@ -9,12 +9,13 @@ so no vector pushed through a network extends past index min(n0, n1).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from .gamma import GammaCollection, MultiSignature, check_index_range, gamma_value
+from .gamma import GammaCollection, MultiSignature, check_dims, check_index_range
 from .histogram import Histogram, unit
 
 
@@ -64,12 +65,14 @@ def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
     """Apply the width-n' transition for collection g to histogram v.
 
     Column k is the collection value at (k, n') clipped at k, so zero above k.
+    n' is checked once; ``layer_step`` asks only for k <= n', the rule's domain.
     """
-    if type(n_prime) is not int or n_prime < 1:
-        raise ValueError("dimension out of range")
+    if type(n_prime) is not int or not 1 <= n_prime <= sys.maxsize:
+        check_dims(n_prime)
+        check_index_range(n_prime)
 
     def column(k: int) -> tuple[int, ...]:
-        counts = gamma_value(g, k, n_prime).counts
+        counts = g.rule(k, n_prime).counts
         return counts[:k] + (sum(counts[k:]),)
 
     return Histogram._trimmed(tuple(layer_step(column, n_prime, v.counts)))

@@ -114,6 +114,13 @@ class TestConnector:
         with pytest.raises(ValueError, match="dimension out of range"):
             build_connector(-1, 2)
 
+    @pytest.mark.parametrize("n, n_prime", [(sys.maxsize + 1, 3), (3, sys.maxsize + 1), (3, 2 ** 70)])
+    def test_dimension_past_index_range(self, n, n_prime):
+        """Checked before any row is built: width 2^70 would build rows for ever."""
+        big = max(n, n_prime)
+        with pytest.raises(ValueError, match=rf"dimension {big} exceeds sys.maxsize"):
+            build_connector(n, n_prime)
+
 
 class TestEvaluateBound:
     def test_worked_examples(self):

@@ -12,12 +12,14 @@ from relubound import (
     Histogram,
     ReluLayer,
     ReluNetwork,
+    activation_histogram,
     dimension_histogram,
     enumerate_regions,
     load_network,
     random_network,
     sample_count,
     save_network,
+    scale,
     signature_at,
     triangle_network,
     verify_network,
@@ -428,6 +430,27 @@ class TestConstantUnits:
         layers = [(layer.weights, layer.biases) for layer in net.layers]
         assert result.multisignatures == line_multisignatures(layers, BOX10)
 
+    @pytest.mark.parametrize("c, bit, kept, calls", [
+        (-3, 0, "tab", 0), (0, 0, "tab", 0),  # constant off: bit 0 is the region itself
+        (3, 0, None, 0), (-3, 1, None, 0), (0, 1, None, 0),  # the bit that holds nowhere
+        (3, 1, "child", 1),  # constant on: bit 1's row d t <= c caps t
+    ])
+    def test_cut_decides_a_constant_unit(self, c, bit, kept, calls, monkeypatch):
+        """``_cut`` on a row with a = 0: the parent's tableau itself for bit 0
+        if c <= 0, None with no LP for the bit that holds nowhere, and one LP
+        for bit 1 if c > 0."""
+        solves = []
+        solve_max = empirical.solve_max
+        monkeypatch.setattr(empirical, "solve_max",
+                            lambda tab, rows: solves.append(rows) or solve_max(tab, rows))
+        tab = simplex.capped([0, 0, 1], [F(20), F(20), 1])
+        before = (tab.table[:], tab.basis[:], tab.obj, tab.d)
+        child = empirical._cut(tab, [0, 0, c], 2, bit)
+        assert len(solves) == calls
+        assert {"tab": child is tab, None: child is None,
+                "child": child is not None and child is not tab}[kept]
+        assert (tab.table, tab.basis, tab.obj, tab.d) == before
+
 
 class TestWitnesses:
     def test_witnesses_on_degenerate_networks(self):
@@ -505,6 +528,28 @@ class TestRandomNetwork:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             random_network(Architecture(1, (1,)), 0, scale=0)
+
+
+class TestSizeArguments:
+    """A bool, float or str size or count raises the ValueError of a value
+    below its bound, not a TypeError, and is never read as an int."""
+
+    CALLS = {
+        "activation_histogram": (lambda k: activation_histogram([(1,)], k),
+                                 "dimension out of range"),
+        "random_network": (lambda k: random_network(Architecture(1, (1,)), 1, scale=k),
+                           "scale must be at least 1"),
+        "sample_count": (lambda k: sample_count(triangle_network(), k, BOX10),
+                         "need at least one sample"),
+        "histogram.scale": (lambda k: scale(k, Histogram((1, 2))), "negative count"),
+    }
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "3", -1], ids=["bool", "float", "str", "negative"])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_non_int_sizes_raise(self, call, bad):
+        function, message = self.CALLS[call]
+        with pytest.raises(ValueError, match=message):
+            function(bad)
 
 
 class TestVerifyNetwork:

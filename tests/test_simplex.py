@@ -308,6 +308,20 @@ class TestRowChecks:
         assert tabs[0].table == tabs[1].table == tabs[2].table
 
 
+class TestCapChecks:
+    @pytest.mark.parametrize("caps", [[1.5, F(2)], [F(2)], [F(2), F(2), F(2)], [True, F(2)],
+                                      [F(-1), F(2)], [-1, F(2)], ["2", F(2)]],
+                             ids=["float", "short", "long", "bool", "negative", "negative-int",
+                                  "str"])
+    def test_bad_caps_raise(self, caps):
+        with pytest.raises(ValueError, match="need n = 2 caps"):
+            capped([F(1), F(1)], caps)
+
+    def test_int_and_zero_caps(self):
+        tab = capped([F(1), F(1)], [3, F(0)])
+        assert solve_max(tab, [])[:2] == (OPTIMAL, 3)
+
+
 class TestAnswerReuse:
     """A tableau keeps its vertex's (value, point): its copies share it and
     a pivot clears it, so each answer is the one the tableau reads now."""

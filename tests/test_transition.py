@@ -87,6 +87,15 @@ class TestPhi:
             with pytest.raises(ValueError, match=rf"dimension {10**20} exceeds sys.maxsize"):
                 phi(g, 10**20, unit(1))
 
+    def test_width_past_index_range_reads_no_column(self):
+        """The width is checked once per call, so an empty histogram raises too."""
+        for g in (NAIVE, ZASLAVSKY, BINOMIAL):
+            with pytest.raises(ValueError, match=rf"dimension {10**20} exceeds sys.maxsize"):
+                phi(g, 10**20, zero())
+        for bad in (True, 1.5, "3", 0):
+            with pytest.raises(ValueError, match="dimension out of range"):
+                phi(BINOMIAL, bad, zero())
+
     @given(histograms(), histograms(), st.integers(1, 6))
     def test_linear(self, v, w, n_prime):
         for g in (NAIVE, ZASLAVSKY, BINOMIAL):
