@@ -27,6 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SIMPLEX = "src/relubound/simplex.py"
 EMPIRICAL = "src/relubound/empirical.py"
 TRANSITION = "src/relubound/transition.py"
+GAMMA = "src/relubound/gamma.py"
+BOUNDS = "src/relubound/bound_matrices.py"
+DECOMPOSITION = "src/relubound/decomposition.py"
+HISTOGRAM = "src/relubound/histogram.py"
 
 # (file, old text, new text, test ids that must fail)
 MUTANTS = (
@@ -37,14 +41,25 @@ MUTANTS = (
       "tests/test_empirical.py::TestRegionLP::test_one_layer[coincident]"]),
     (SIMPLEX, "g = gcd(*values) or 1", "g = 1",  # int rows enter without their gcd divided out
      ["tests/test_simplex.py::TestRowChecks::test_rows_enter_coprime"]),
-    (EMPIRICAL, "if (c > 0) != bit:", "if (c >= 0) != bit:",  # a constant unit with c = 0 loses its region
-     ["tests/test_empirical.py::TestConstantUnits::test_no_lp_decides_a_constant_unit[zero-weights]"]),
+    (EMPIRICAL, "(c > 0) == bit", "(c >= 0) == bit",  # a constant unit with c = 0 read as on
+     ["tests/test_empirical.py::TestEnumeration::test_zero_network_single_region",
+      "tests/test_empirical.py::TestFeasible::test_strict_zero_row_is_empty"]),
     (TRANSITION, "not 1 <= n_prime <= sys.maxsize", "n_prime < 1",  # a width past the index range read
      ["tests/test_transition.py::TestPhi::test_width_past_index_range"]),
     (SIMPLEX, "type(u) in (int, Fraction)", "isinstance(u, (int, Fraction))",  # a True cap read as 1
      ["tests/test_simplex.py::TestCapChecks::test_bad_caps_raise[bool]"]),
     (EMPIRICAL, "grid = 10 ** 9", "grid = 10 ** 2",  # samples on a grid coarser than a region
      ["tests/test_empirical.py::TestSampling::test_finds_a_region_narrower_than_a_coarse_grid"]),
+    (GAMMA, "if width != n_prime:", "if width < n_prime:",  # a narrower width reads the kept row
+     ["tests/test_gamma.py::TestKeptRow::test_any_call_order_matches_comb_definition"]),
+    (BOUNDS, "min(run_min, w - j)", "min(run_min, w)",  # the active units not subtracted
+     ["tests/test_bound_matrices.py::TestReferenceBounds::test_serra_worked_values"]),
+    (BOUNDS, "d < a + b", "d <= a + b",  # an equal width called narrow
+     ["tests/test_bound_matrices.py::TestStrictnessConditions::test_narrow_layer"]),
+    (DECOMPOSITION, "half = n // 2", "half = (n + 1) // 2",  # the midpoint one past for odd n
+     ["tests/test_decomposition.py::TestClosedFormNorm::test_matches_power_column_sums"]),
+    (HISTOGRAM, "zip_longest(_tails(v), _tails(w), fillvalue=0)", "zip(_tails(v), _tails(w))",
+     ["tests/test_histogram.py::TestDominanceOrder::test_antisymmetric"]),  # longer tails cut off
 )
 
 

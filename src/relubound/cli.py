@@ -79,8 +79,8 @@ def int_at_least(low: int):
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return empirical._frac(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"bad rational: {text!r}")
 
 

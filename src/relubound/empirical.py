@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,6 +41,7 @@ Matrix = tuple[Vector, ...]
 Live = tuple[int, tuple[tuple[int, Sequence[int]], ...]]
 
 DEFAULT_BOX_RADIUS = Fraction(10 ** 6)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ints and "p/q": no point or exponent
 
 # Everything beyond these sizes needs an explicit override; the enumerator
 # is exponential in the widths by design.
@@ -53,9 +55,9 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and (m := _RATIONAL.fullmatch(x)):
         try:
-            return Fraction(x)
+            return Fraction(int(m[1]), int(m[2] or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {x!r}") from None
     raise ValueError(f"not an exact rational: {x!r}")
@@ -168,16 +170,13 @@ def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
 
     A unit with a = 0 is constant on the region (in the paper's terms, column
     0 of every bound matrix is e_0), so one bit holds on all of it and no LP
-    decides which: bit 0 if c <= 0, as ``tab`` itself with no copy and no
-    row, else bit 1, whose row d t <= c caps t and so is solved. A left-out
-    row (a = 0, rhs >= 0) never leaves the basis and later slack labels keep
-    their order, so Bland's path and the witnesses are the same."""
+    decides which: the bit that holds (1 iff c > 0) is ``tab`` itself, and
+    the other None. The left-out row d t <= c (c > 0) prunes nothing here or
+    below: t is only in bit-1 rows a.z + c' >= d' t, d' > 0, and t <= 1, so
+    a feasible (z, t) with t > 0 stays feasible as (z, min(t, c / d))."""
     *a, c = f
     if not any(a):
-        if (c > 0) != bit:
-            return None
-        if not bit:
-            return tab
+        return tab if (c > 0) == bit else None
     row = [*(-x for x in a), d, c] if bit else [*a, 0, -c]
     child = tab.copy()
     status, _, _ = solve_max(child, [row])
@@ -227,7 +226,7 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     in lexicographic order; ``_cut`` alone decides each child from its
     parent's optimal tableau, with at most one LP, so empty bit prefixes are
     pruned early and no LP is rebuilt. A unit that is constant on the region
-    gives it one child, decided there without an LP unless it is on.
+    gives it one child, its own tableau, decided there without an LP.
     """
     d, rows = region.live
     q, weights, biases = layer
@@ -260,9 +259,8 @@ def enumerate_regions(
     """Exact enumeration of attained multi-signatures in the box, depth-first over
     an explicit stack; records come in that order, which sorts their prefixes.
 
-    A unit that is constant on a region (its composed row has a = 0) gives
-    the region one child and costs no LP, or one LP if it is on: column 0
-    of every bound matrix is e_0 (see ``_cut``)."""
+    A unit that is constant on a region (a = 0) costs no LP: column 0 of
+    every bound matrix is e_0 (see ``_cut``)."""
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
     # Each layer in ints, made per call: W q and b q, q the lcm of its denominators.
@@ -313,18 +311,13 @@ def random_network(arch: Architecture, seed: int, scale: int = 1000) -> ReluNetw
     if type(scale) is not int or scale < 1:
         raise ValueError("scale must be at least 1")
     rng = random.Random(seed)
-    layers = []
-    fan_in = arch.n0
-    for width in arch.widths:
-        weights = tuple(
-            tuple(Fraction(rng.randint(-scale, scale), scale) for _ in range(fan_in))
-            for _ in range(width)
-        )
-        biases = tuple(
-            Fraction(rng.randint(-scale, scale), scale) for _ in range(width)
-        )
-        layers.append(ReluLayer(weights, biases))
-        fan_in = width
+
+    def draw(k: int) -> Vector:
+        return tuple(Fraction(rng.randint(-scale, scale), scale) for _ in range(k))
+
+    # Each layer draws its weights row by row, then its biases.
+    layers = (ReluLayer(tuple(draw(m) for _ in range(n)), draw(n))
+              for m, n in zip(arch.dims(), arch.widths))
     return ReluNetwork(arch.n0, tuple(layers))
 
 

@@ -92,10 +92,9 @@ def gamma_value(g: GammaCollection, n: int, n_prime: int) -> Histogram:
     Callers that have n > n' must clamp to min(n, n') themselves; the
     clamping is part of the transition function, not of the collection.
     """
-    if not (type(n) is int and type(n_prime) is int
-            and 0 <= n <= n_prime and 1 <= n_prime <= sys.maxsize):
-        check_dims(n, n_prime, low=0)
-        check_index_range(n_prime)
+    check_dims(n, n_prime, low=0)
+    check_index_range(n_prime)
+    if n > n_prime or n_prime == 0:
         raise ValueError("dimension out of range")
     return g.rule(n, n_prime)
 
@@ -129,5 +128,12 @@ def activation_histogram(signatures: Iterable[Signature], n_prime: int) -> Histo
     for s in signatures:
         if len(s) != n_prime:
             raise ValueError("signature length mismatch")
-        out[sum(s)] += 1
+        out[active_units(s)] += 1
     return Histogram(tuple(out))
+
+
+def active_units(s: Signature) -> int:
+    """|s|, the number of 1 bits; ValueError unless every bit is an int 0 or 1."""
+    if not set(s) <= {0, 1} or type(n := sum(s)) is not int:  # 1.0 == 1, but not a bit
+        raise ValueError(f"signature bits must be 0 or 1: {s!r}")
+    return n

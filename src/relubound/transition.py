@@ -15,7 +15,7 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from .gamma import GammaCollection, MultiSignature, check_dims, check_index_range
+from .gamma import GammaCollection, MultiSignature, active_units, check_dims, check_index_range
 from .histogram import Histogram, unit
 
 
@@ -103,6 +103,6 @@ def dimension_histogram(multisigs: Iterable[MultiSignature], n0: int) -> Histogr
         raise ValueError("input dimension must be at least 1")
     out = [0] * (n0 + 1)
     for ms in multisigs:
-        d = min([n0] + [sum(s) for s in ms])
+        d = min([n0] + [active_units(s) for s in ms])
         out[d] += 1
     return Histogram(tuple(out))

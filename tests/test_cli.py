@@ -338,6 +338,15 @@ class TestArgumentErrors:
         assert err.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1e-5", "0.5", "1/0"])
+    def test_box_radius_takes_ints_and_fractions_only(self, text, capsys):
+        """--box-radius reads a rational as network JSON does: no decimal
+        point or exponent, and the usage error names the text."""
+        with pytest.raises(SystemExit) as err:
+            main(["count", "--triangle", "down", "--box-radius", text])
+        assert err.value.code == 2
+        assert f"--box-radius: bad rational: {text!r}" in capsys.readouterr().err
+
     def test_zero_box_radius(self, capsys):
         assert main(["count", "--triangle", "down", "--box-radius", "0"]) == 1
         assert "error: box radius must be positive" in capsys.readouterr().err

@@ -289,7 +289,7 @@ class TestEnumeration:
         monkeypatch.setattr(empirical, "solve_max", recording)
         enumerate_regions(random_network(Architecture(2, (3, 2)), 4), F(10))
         assert len(solved) == len(set(solved))
-        assert len(solved) == 45
+        assert len(solved) == 44
         assert all(n == 0 for holds, n in cost if holds)
         assert {holds for holds, _ in cost} == {True, False}
 
@@ -347,7 +347,7 @@ class TestEnumeration:
         monkeypatch.setattr(simplex, "_pivot", counting_pivot)
         monkeypatch.setattr(empirical, "solve_max", counting_solve)
         result = enumerate_regions(random_network(Architecture(3, (5, 5, 5)), 7))
-        assert (result.count, len(lps), len(pivots)) == (302, 2378, 2112)
+        assert (result.count, len(lps), len(pivots)) == (302, 2350, 2104)
 
 
 def scaled_network(net, s):
@@ -406,15 +406,12 @@ CONSTANT_UNITS = ReluNetwork(1, (ReluLayer([[1]], [0]), ReluLayer([[1], [0], [0]
 
 
 class TestConstantUnits:
-    @pytest.mark.parametrize("net, on_calls", [(DEAD_FIRST_LAYER, 1), (CONSTANT_UNITS, 3)],
+    @pytest.mark.parametrize("net", [DEAD_FIRST_LAYER, CONSTANT_UNITS],
                              ids=["dead-first-layer", "zero-weights"])
-    def test_no_lp_decides_a_constant_unit(self, net, on_calls, monkeypatch):
-        """A unit whose row has a = 0 on a region is decided without an LP if
-        c <= 0, and by one LP per partial signature, for bit 1, if c > 0.
-
-        DEAD_FIRST_LAYER's region x <= 0 has one partial signature at its
-        constant-on unit; CONSTANT_UNITS has one there and two on x > 0.
-        """
+    def test_no_lp_decides_a_constant_unit(self, net, monkeypatch):
+        """No row with a = 0 reaches the simplex, whatever the sign of c: both
+        networks have constant-off and constant-on units (DEAD_FIRST_LAYER on
+        its region x <= 0, CONSTANT_UNITS on both sides of x = 0)."""
         constant = []
         solve_max = empirical.solve_max
 
@@ -424,21 +421,18 @@ class TestConstantUnits:
 
         monkeypatch.setattr(empirical, "solve_max", recording)
         result = enumerate_regions(net, BOX10)
-        # Only bit 1 of a unit with c > 0: the row d t <= c with d, c > 0.
-        assert all(row[net.n0] > 0 and row[-1] > 0 for row in constant)
-        assert len(constant) == on_calls
+        assert constant == []
         layers = [(layer.weights, layer.biases) for layer in net.layers]
         assert result.multisignatures == line_multisignatures(layers, BOX10)
 
     @pytest.mark.parametrize("c, bit, kept, calls", [
         (-3, 0, "tab", 0), (0, 0, "tab", 0),  # constant off: bit 0 is the region itself
         (3, 0, None, 0), (-3, 1, None, 0), (0, 1, None, 0),  # the bit that holds nowhere
-        (3, 1, "child", 1),  # constant on: bit 1's row d t <= c caps t
+        (3, 1, "tab", 0),  # constant on: bit 1 is the region itself
     ])
     def test_cut_decides_a_constant_unit(self, c, bit, kept, calls, monkeypatch):
-        """``_cut`` on a row with a = 0: the parent's tableau itself for bit 0
-        if c <= 0, None with no LP for the bit that holds nowhere, and one LP
-        for bit 1 if c > 0."""
+        """``_cut`` on a row with a = 0: the parent's tableau itself for the
+        bit that holds (1 iff c > 0), and None for the other, with no LP."""
         solves = []
         solve_max = empirical.solve_max
         monkeypatch.setattr(empirical, "solve_max",
@@ -447,9 +441,30 @@ class TestConstantUnits:
         before = (tab.table[:], tab.basis[:], tab.obj, tab.d)
         child = empirical._cut(tab, [0, 0, c], 2, bit)
         assert len(solves) == calls
-        assert {"tab": child is tab, None: child is None,
-                "child": child is not None and child is not tab}[kept]
+        assert child is (tab if kept == "tab" else None)
         assert (tab.table, tab.basis, tab.obj, tab.d) == before
+
+    def test_cap_row_never_decides_a_child(self):
+        """The row d t <= c (c > 0) that a constant-on unit leaves out changes
+        no later verdict: over seeded roots and random rows, ``_cut`` keeps a
+        child with the cap row solved in iff it keeps it without."""
+        rng = random.Random(0)
+        verdicts = set()
+        for _ in range(60):
+            n0 = rng.randint(1, 3)
+            plain = empirical._root(F(rng.randint(1, 20), rng.randint(1, 3)), n0).tableau
+            with_cap = plain.copy()
+            cap = [0] * n0 + [rng.randint(1, 1000), rng.randint(1, 5)]
+            assert simplex.solve_max(with_cap, [cap])[0] == simplex.OPTIMAL
+            for _ in range(8):
+                f = [rng.randint(-3, 3) for _ in range(n0)] + [rng.randint(-30, 30)]
+                d, bit = rng.randint(1, 5), rng.randint(0, 1)
+                a, b = empirical._cut(plain, f, d, bit), empirical._cut(with_cap, f, d, bit)
+                assert (a is None) == (b is None)
+                verdicts.add(a is None)
+                if a is not None:
+                    plain, with_cap = a, b
+        assert verdicts == {True, False}
 
 
 class TestWitnesses:
@@ -581,6 +596,18 @@ class TestNetworkJson:
     def test_rejects_floats(self):
         data = {"n0": 1, "layers": [{"W": [[0.5]], "b": [0]}]}
         with pytest.raises(ValueError):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1e-5", "not an exact rational: '1e-5'"),
+        ("0.5", "not an exact rational: '0.5'"),
+        ("1/0", "zero denominator: '1/0'"),
+    ], ids=["exponent", "decimal", "zero-denominator"])
+    def test_rejects_decimal_and_exponent_strings(self, entry, message):
+        """An entry string is a sign, digits and an optional /digits; a decimal
+        or exponent form is refused, so no huge exponent is ever expanded."""
+        data = {"n0": 1, "layers": [{"W": [[entry]], "b": [0]}]}
+        with pytest.raises(ValueError, match=message):
             network_from_dict(data)
 
     def test_rejects_layers_that_are_not_a_list(self):

@@ -233,6 +233,16 @@ class TestActivationHistogram:
         with pytest.raises(ValueError, match="signature length mismatch"):
             activation_histogram([(1, 0, 0)], 2)
 
+    @pytest.mark.parametrize("call, args", [
+        (activation_histogram, ([(1, 2, 1)], 3)),  # |s| = 4 past the last index
+        (activation_histogram, ([(2, 0, 0)], 3)),  # |s| = 2 from one unit
+        (activation_histogram, ([(1.0, 0)], 2)),  # |s| = 1.0 is no index
+        (dimension_histogram, ([((-1,),)], 1)),  # |s| = -1 wraps to the last index
+    ], ids=["activation-past-end", "activation-two", "activation-float", "dimension-negative"])
+    def test_bits_other_than_zero_or_one_raise(self, call, args):
+        with pytest.raises(ValueError, match="signature bits must be 0 or 1"):
+            call(*args)
+
     def test_triangle_attained_histogram(self):
         # one signature with 0 active units, three with 1, three with 2
         assert activation_histogram(TRIANGLE_SIGNATURES_DOWN, 3) == Histogram((1, 3, 3))
