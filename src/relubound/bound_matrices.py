@@ -15,6 +15,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate, pairwise
 from typing import Iterator
 
@@ -51,9 +52,14 @@ class ConnectorMatrix:
     rows: tuple[Row, ...]
 
 
+def bound_column(g: GammaCollection, n_prime: int, k: int) -> Row:
+    """Column k of B_{n'}: phi of the unit count at k, trimmed (zero past index k)."""
+    return phi(g, n_prime, unit(k)).counts
+
+
 def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
     check_dims(n_prime)
-    return BoundMatrix(n_prime, tuple(phi(g, n_prime, unit(j)).counts for j in range(n_prime + 1)))
+    return BoundMatrix(n_prime, tuple(bound_column(g, n_prime, j) for j in range(n_prime + 1)))
 
 
 def build_connector(n: int, n_prime: int) -> ConnectorMatrix:
@@ -72,19 +78,18 @@ def bound_vectors(g: GammaCollection, arch: Architecture) -> Iterator[list[int]]
     B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer is one
     ``layer_step`` over B_{n'}'s columns; no connector or product is formed.
     The first layer clamps n0 to n1, so the start is e_{min(n0, n1)+1}, and
-    column k is zero above k, so each vector is yielded as that support prefix.
+    column k is zero above k, so each vector is yielded as that support prefix:
+    a width-n' layer reads only columns 0..min(n0, n1, n'), each built once.
     """
     vec = [0] * min(arch.n0, arch.widths[0]) + [1]
-    cache: dict[int, tuple[Row, ...]] = {}
+    column = cache(partial(bound_column, g))  # (n', k) -> column, for this call
     for width in arch.widths:
-        if width not in cache:
-            cache[width] = build_bound_matrix(g, width).columns
-        vec = layer_step(cache[width].__getitem__, width, vec)
+        vec = layer_step(partial(column, width), width, vec)
         yield vec
 
 
 def evaluate_bound(g: GammaCollection, arch: Architecture) -> int:
-    """l1 norm of B_{nL} M ... B_{n1} M applied to the basis vector e_{n0+1}."""
+    """l1 norm of B_{nL} M ... B_{n1} M e_{n0+1}, from only the columns that vector reaches."""
     for vec in bound_vectors(g, arch):
         pass
     return sum(vec)

@@ -306,12 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Python 3.11+ refuses str() of integers past 4300 digits by default;
-    # the bounds here routinely exceed that and must print in full.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Python 3.11+ refuses str() of integers past 4300 digits by default; the
+    # bounds here must print in full, so main lifts the limit until it returns.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, text, *ok = args.func(args)
         if args.format == "json":
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -333,6 +334,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

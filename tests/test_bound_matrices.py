@@ -33,11 +33,12 @@ from relubound import (
     unit,
     width_increases_somewhere,
 )
+from relubound import bound_matrices
 from relubound.bound_matrices import binomial_sums, bound_vectors
 
 # Widths 16..128 in shuffled order with repeats: against n0 = 40 the clamp
 # both merges indices (a layer narrower than the vector's support) and pads
-# them (a wider layer), and the repeated widths reuse a cached matrix.
+# them (a wider layer), and the repeated widths reuse kept columns.
 WIDE_MIXED = Architecture(40, (48, 16, 128, 64, 16, 96, 128, 24, 64, 112, 40, 24))
 
 B2 = ((1, 0, 1), (0, 3, 2), (0, 0, 1))
@@ -147,6 +148,23 @@ class TestEvaluateBound:
     def test_equal_width_matches_closed_form(self, n0, L):
         arch = Architecture(n0, (64,) * L)
         assert evaluate_bound(BINOMIAL, arch) == closed_form_norm(64, min(n0, 64), L)
+
+    def test_builds_only_the_columns_it_reads(self, monkeypatch):
+        """No bound matrix is built, and no column outlives the call that built it."""
+        calls = {"phi": 0, "build_bound_matrix": 0}
+        for name in calls:
+            def counted(*args, real=getattr(bound_matrices, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(bound_matrices, name, counted)
+        for _ in range(2):
+            # layer 1 reads column 2 of B_3, layer 2 columns 1 and 2 of B_3 (2 is
+            # kept), layer 3 columns 1 and 2 of B_4
+            assert evaluate_bound(BINOMIAL, Architecture(2, (3, 3, 4))) == 296
+            assert calls == {"phi": 4, "build_bound_matrix": 0}
+            calls.update(phi=0)
+        # one column, 2, of a width too large to build a matrix of: 1 + n' + C(n', 2)
+        assert evaluate_bound(BINOMIAL, Architecture(2, (100_000,))) == 5000050001
 
     def test_deep_narrow_collapse(self):
         # a width-1 layer caps everything after it

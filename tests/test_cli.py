@@ -256,16 +256,49 @@ class TestCountCommand:
         assert first == second
 
 
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets the int/str digit limit to the value a test passes, then restores the old one."""
+    if not HAS_DIGIT_LIMIT:  # this Python converts any length
+        yield lambda limit: None
+        return
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
 class TestBigIntegers:
-    def test_bound_past_default_digit_limit(self, capsys):
+    """main prints past the default digit limit; the tests lift it for their own str/json."""
+
+    def test_bound_past_default_digit_limit(self, capsys, digit_limit):
         assert main(["bound", "--n0", "1", "--widths", "1:x14400", "--gamma", "naive"]) == 0
+        digit_limit(0)
         assert f"naive: {2 ** 14400}" in capsys.readouterr().out
 
-    def test_json_past_default_digit_limit(self, capsys):
+    def test_json_past_default_digit_limit(self, capsys, digit_limit):
         argv = ["bound", "--n0", "1", "--widths", "1:x14400", "--gamma", "naive",
                 "--format", "json"]
         assert main(argv) == 0
+        digit_limit(0)
         assert json.loads(capsys.readouterr().out)["bound"] == 2 ** 14400
+
+    @pytest.mark.parametrize("argv,status", [
+        (["bound", "--n0", "2", "--widths", "3,3"], 0),
+        (["bound", "--n0", "1", "--widths", "1:x14400", "--gamma", "naive"], 0),
+        (["bound", "--n0", "0", "--widths", "3"], 1),
+        (["bound", "--n0", "2"], 2),
+    ], ids=["success", "past-limit", "error", "usage"])
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="this Python has no digit limit")
+    def test_main_restores_the_callers_limit(self, argv, status, capsys, digit_limit):
+        digit_limit(5000)
+        try:
+            assert main(argv) == status
+        except SystemExit as exc:
+            assert exc.code == status
+        assert sys.get_int_max_str_digits() == 5000
 
 
 MALFORMED_NETWORKS = {
