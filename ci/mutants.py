@@ -60,6 +60,11 @@ MUTANTS = (
      ["tests/test_decomposition.py::TestClosedFormNorm::test_matches_power_column_sums"]),
     (HISTOGRAM, "zip_longest(_tails(v), _tails(w), fillvalue=0)", "zip(_tails(v), _tails(w))",
      ["tests/test_histogram.py::TestDominanceOrder::test_antisymmetric"]),  # longer tails cut off
+    (TRANSITION, "key := (prev, j)", "key := j",  # a kept step read after another previous entry
+     ["tests/test_transition.py::TestLayerStep::test_one_steps_dict_per_width[0]"]),
+    (TRANSITION, "\n        total -= count\n", "\n",  # every step scaled by the whole sum S_1
+     ["tests/test_transition.py::TestLayerStep::test_one_steps_dict_per_width[0]",
+      "tests/test_bound_matrices.py::TestSupportPrefix::test_vectors_are_the_dense_product"]),
 )
 
 

@@ -77,14 +77,20 @@ def bound_vectors(g: GammaCollection, arch: Architecture) -> Iterator[list[int]]
 
     B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer is one
     ``layer_step`` over B_{n'}'s columns; no connector or product is formed.
-    The first layer clamps n0 to n1, so the start is e_{min(n0, n1)+1}, and
-    column k is zero above k, so each vector is yielded as that support prefix:
-    a width-n' layer reads only columns 0..min(n0, n1, n'), each built once.
+    The start is e_{min(n0, n1)+1} and column k is zero above k, so each vector
+    is yielded as that support prefix; a width-n' layer reads only columns
+    0..min(n0, n1, n'), built once, and from its second layer on sums by parts
+    over its kept column steps, a few products per nonzero entry of the vector.
+    Columns and steps are kept for this call only.
     """
     vec = [0] * min(arch.n0, arch.widths[0]) + [1]
-    column = cache(partial(bound_column, g))  # (n', k) -> column, for this call
+    column = cache(partial(bound_column, g))  # (n', k) -> column
+    kept = {}  # n' -> (k -> its column k, its column steps)
     for width in arch.widths:
-        vec = layer_step(partial(column, width), width, vec)
+        columns, steps = kept.get(width) or (partial(column, width), None)
+        vec = layer_step(columns, width, vec, steps)
+        if steps is None:  # whole columns: kept steps pay only once the width recurs
+            kept[width] = columns, {}
         yield vec
 
 

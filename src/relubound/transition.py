@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, repeat, zip_longest
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
@@ -45,19 +45,38 @@ class Architecture:
         return (self.n0,) + self.widths
 
 
-def layer_step(column: Callable, n_prime: int, vec: Sequence[int]) -> list[int]:
+def layer_step(column: Callable, n_prime: int, vec: Sequence[int], steps: dict | None = None) -> list[int]:
     """Sum of count x column(min(j, n')) over the nonzero entries j of vec.
 
     Column k is zero above k, so entry j adds only to the slice 0..min(j, n')
     (or less, for a trimmed column) and the output has length
-    min(len(vec), n'+1). The first column is copied, not added, and a count
-    of 1 is not multiplied. ``phi`` and ``evaluate_bound`` share this step.
+    min(len(vec), n'+1). With no ``steps``, each column is scaled and added
+    whole; the first is copied, not added, and a count of 1 is not multiplied.
+    ``phi`` and ``evaluate_bound`` share this step. Given ``steps``, a dict the
+    caller keeps for one column function and n', the nonzero entries
+    j_1 < ... < j_m are summed by parts, as S_t = count_t + ... + count_m times
+    the rows where c_{j_t} differs from c_{j_{t-1}}; c_j is column min(j, n')
+    cut at j, c_{j_0} = 0, and each such row list is kept under (j_{t-1}, j_t).
+    Neighbouring columns differ in a few rows, so an entry costs a few products.
     """
     out = [0] * min(len(vec), n_prime + 1)
-    for i, (j, count) in enumerate(compress(enumerate(vec), vec)):
-        c = column(min(j, n_prime))[:j + 1]
-        scaled = c if count == 1 else map(mul, c, repeat(count))
-        out[:len(c)] = map(add, out, scaled) if i else scaled
+    support = compress(enumerate(vec), vec)
+    if steps is None:
+        for i, (j, count) in enumerate(support):
+            c = column(min(j, n_prime))[:j + 1]
+            scaled = c if count == 1 else map(mul, c, repeat(count))
+            out[:len(c)] = map(add, out, scaled) if i else scaled
+        return out
+    total, prev = sum(vec), -1
+    for j, count in support:
+        if (step := steps.get(key := (prev, j))) is None:
+            a = column(min(prev, n_prime))[:prev + 1] if prev >= 0 else ()
+            rows = enumerate(zip_longest(a, column(min(j, n_prime))[:j + 1], fillvalue=0))
+            step = steps[key] = [(r, y - x) for r, (x, y) in rows if x != y]
+        for r, d in step:
+            out[r] += total * d
+        total -= count
+        prev = j
     return out
 
 

@@ -1,14 +1,22 @@
-"""Shared hypothesis strategies for histogram-valued properties, and a
-session-wide guard that turns a simplex that cycles into a failure."""
+"""Shared hypothesis strategies for histogram-valued properties, a custom
+collection with empty columns, and a session-wide guard that turns a simplex
+that cycles into a failure."""
 
 import pytest
 from hypothesis import strategies as st
 
-from relubound import Histogram, simplex
+from relubound import BINOMIAL, GammaCollection, Histogram, simplex
 
 # Bland's rule terminates, and no LP in the suite needs more than a handful of
 # pivots; a run this long on one tableau means _pivot or the rule is broken.
 MAX_PIVOTS_IN_A_ROW = 10_000
+
+
+# binomial, except that odd input dimensions have no image at all, so
+# phi's sums can end in zeros that only the trim removes
+EMPTY_AT_ODD = GammaCollection(
+    "empty-at-odd", lambda n, n_prime: Histogram(()) if n % 2 else BINOMIAL.rule(n, n_prime)
+)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,6 +1,7 @@
 """Bound matrices, connectors, and the closed-form reference bounds."""
 
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -34,7 +35,8 @@ from relubound import (
     width_increases_somewhere,
 )
 from relubound import bound_matrices
-from relubound.bound_matrices import binomial_sums, bound_vectors
+from relubound.bound_matrices import binomial_sums, bound_column, bound_vectors
+from conftest import EMPTY_AT_ODD
 
 # Widths 16..128 in shuffled order with repeats: against n0 = 40 the clamp
 # both merges indices (a layer narrower than the vector's support) and pads
@@ -196,7 +198,7 @@ class TestSupportPrefix:
             n0 = rng.randint(1, 8)
             widths = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 6)))
             arch = Architecture(n0, widths)
-            for g in (NAIVE, ZASLAVSKY, BINOMIAL, ZERO_AT_ONE):
+            for g in (NAIVE, ZASLAVSKY, BINOMIAL, ZERO_AT_ONE, EMPTY_AT_ODD):
                 dense = [0] * n0 + [1]
                 hist = unit(n0)
                 vectors = list(bound_vectors(g, arch))
@@ -210,6 +212,22 @@ class TestSupportPrefix:
                     hist = phi(g, width, hist)
                     assert hist == Histogram(tuple(dense))
         assert shorter  # the sample holds vectors that stop short of their width
+
+
+class TestColumnSteps:
+    @pytest.mark.parametrize("g, most", [(BINOMIAL, 3), (NAIVE, 2), (ZASLAVSKY, 2)],
+                             ids=["binomial", "naive", "zaslavsky"])
+    def test_neighbouring_columns_differ_in_few_entries(self, g, most):
+        """What makes bound_vectors' sum by parts cheap: columns k-1 and k of B_{n'}
+        differ in at most ``most`` entries, so a kept step is that short."""
+        widest = 0
+        for n_prime in range(1, 65):
+            cols = [bound_column(g, n_prime, k) for k in range(n_prime + 1)]
+            for a, b in zip(cols, cols[1:]):
+                differ = sum(x != y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+                assert differ <= most, (n_prime, a, b)
+                widest = max(widest, differ)
+        assert widest == most
 
 
 class TestReferenceBounds:

@@ -12,7 +12,6 @@ from relubound import (
     NAIVE,
     ZASLAVSKY,
     Architecture,
-    GammaCollection,
     Histogram,
     add,
     build_bound_matrix,
@@ -28,7 +27,7 @@ from relubound import (
     zero,
 )
 from relubound.transition import layer_step
-from conftest import dominated_pairs, histograms
+from conftest import EMPTY_AT_ODD, dominated_pairs, histograms
 
 
 class TestArchitecture:
@@ -174,12 +173,30 @@ class TestLayerStep:
                         out[:] = [-1] * len(out)
                         assert [list(c) for c in cols] == before
 
-
-# binomial, except that odd input dimensions have no image at all, so
-# phi's sums can end in zeros that only the trim removes
-EMPTY_AT_ODD = GammaCollection(
-    "empty-at-odd", lambda n, n_prime: Histogram(()) if n % 2 else BINOMIAL.rule(n, n_prime)
-)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_steps_dict_per_width(self, seed):
+        """By parts, with one ``steps`` dict shared by every vector of a width, twice over."""
+        rng = random.Random(seed)
+        for n_prime in (1, rng.randint(2, 40), 64):
+            # dense, gapped and single-entry vectors, some longer than n'+1
+            vecs = [
+                [rng.choice((0, 1, 1, rng.randint(2, 10 ** 30))) if rng.random() < density else 0
+                 for _ in range(rng.randint(1, n_prime + 12))]
+                for density in (1.0, 0.8, 0.4, 0.1) * 3
+            ] + [[0] * n_prime + [5], [3] + [0] * n_prime + [1]]
+            for g in (NAIVE, ZASLAVSKY, BINOMIAL, EMPTY_AT_ODD):
+                trimmed = [clip(gamma_value(g, k, n_prime), k).counts for k in range(n_prime + 1)]
+                padded = [list(col) for col in zip(*build_bound_matrix(g, n_prime).rows)]
+                for cols in (trimmed, padded):
+                    before = [list(c) for c in cols]
+                    steps = {}
+                    for vec in vecs * 2:  # the second pass reads only kept steps
+                        out = layer_step(cols.__getitem__, n_prime, vec, steps)
+                        assert type(out) is list
+                        assert out == self.written_out(cols, n_prime, vec)
+                        out[:] = [-1] * len(out)
+                    assert [list(c) for c in cols] == before
+                    assert steps
 
 
 def assert_canonical(h):
