@@ -50,8 +50,11 @@ MUTANTS = (
      ["tests/test_simplex.py::TestCapChecks::test_bad_caps_raise[bool]"]),
     (EMPIRICAL, "grid = 10 ** 9", "grid = 10 ** 2",  # samples on a grid coarser than a region
      ["tests/test_empirical.py::TestSampling::test_finds_a_region_narrower_than_a_coarse_grid"]),
-    (GAMMA, "if width != n_prime:", "if width < n_prime:",  # a narrower width reads the kept row
-     ["tests/test_gamma.py::TestKeptRow::test_any_call_order_matches_comb_definition"]),
+    (TRANSITION, "counts[n_prime - k + 1:]", "counts[n_prime - k:]",  # dimension k kept and folded
+     ["tests/test_transition.py::TestPhi::test_unit_input_clips_gamma",
+      "tests/test_bound_matrices.py::TestColumnPin::test_matrices_up_to_width_64[binomial]"]),
+    (GAMMA, "len(counts) > n_prime + 1", "len(counts) > n_prime + 3",  # counts past dimension 0 read
+     ["tests/test_gamma.py::TestValidation::test_rule_with_more_counts_than_the_width_allows"]),
     (BOUNDS, "min(run_min, w - j)", "min(run_min, w)",  # the active units not subtracted
      ["tests/test_bound_matrices.py::TestReferenceBounds::test_serra_worked_values"]),
     (BOUNDS, "d < a + b", "d <= a + b",  # an equal width called narrow

@@ -19,7 +19,7 @@ from functools import cache, partial
 from itertools import accumulate, pairwise
 from typing import Iterator
 
-from .gamma import GammaCollection, check_dims, check_index_range
+from .gamma import GammaCollection, check_dims, check_index_range, two_to
 from .histogram import unit
 from .transition import Architecture, layer_step, phi
 
@@ -103,7 +103,7 @@ def evaluate_bound(g: GammaCollection, arch: Architecture) -> int:
 
 def naive_bound(arch: Architecture) -> int:
     """2 to the total number of units: every unit on or off independently."""
-    return 2 ** sum(arch.widths)
+    return two_to(sum(arch.widths))
 
 
 def binomial_sums(n: int, m: int) -> list[int]:

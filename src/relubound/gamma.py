@@ -23,11 +23,11 @@ MultiSignature = tuple[Signature, ...]
 
 @dataclass(frozen=True)
 class GammaCollection:
-    """A named rule (n, n') -> Histogram.
+    """A named rule (n, n') -> Histogram by number of inactive units.
 
-    ``rule`` may assume 0 <= n <= n' and n' >= 1: ``phi`` checks n' once
-    per call and reads the rule directly; use :func:`gamma_value` for
-    validated access. Instances are immutable.
+    Entry j counts the regions with j units off, of image dimension n' - j, up
+    to j = n' (``rule_counts`` checks); a built-in's stop at j = n. ``rule`` may
+    assume 0 <= n <= n' and n' >= 1; ``gamma_value`` indexes by image dimension.
     """
 
     name: str
@@ -37,44 +37,34 @@ class GammaCollection:
         return f"GammaCollection({self.name!r})"
 
 
-def _naive_rule(n: int, n_prime: int) -> Histogram:
-    return Histogram._trimmed((0,) * n_prime + (2 ** n_prime,))
+MAX_EXPONENT = 2 ** 32  # 2^e has e + 1 bits; past this, two_to refuses to build it
 
 
-# The last binomial row computed, as one immutable pair (n', C(n', 0..m)).
-_row: tuple[int, tuple[int, ...]] = (0, (1,))
+def two_to(e: int) -> int:
+    """2 ** e; ValueError naming e, before anything is allocated, past MAX_EXPONENT."""
+    if e > MAX_EXPONENT:
+        raise ValueError(f"exponent {e} exceeds {MAX_EXPONENT}: 2^{e} is too large to compute")
+    return 2 ** e
 
 
 def _binomials(n: int, n_prime: int) -> tuple[int, ...]:
-    """C(n', 0..n), sliced from the kept row of the last width asked for.
+    """C(n', 0..n) by the exact recurrence C(n', j+1) = C(n', j) (n'-j) / (j+1)."""
+    c, row = 1, [1]
+    for j in range(n):
+        row.append(c := c * (n_prime - j) // (j + 1))
+    return tuple(row)
 
-    The module keeps one row, ``_row = (n', C(n', 0..m))``. A call at the
-    same width slices it, or extends it from its last entry by the exact
-    recurrence C(n', j+1) = C(n', j) (n'-j) / (j+1) when m < n; a call at
-    another width starts again from C(n', 0) = 1. The row grows only as far
-    as a caller asks, never to n' up front, and the pair is rebound in one
-    assignment, so no caller sees one width's row paired with another n'.
-    """
-    global _row
-    width, row = _row
-    if width != n_prime:
-        row = (1,)
-    if len(row) <= n:
-        c, ext = row[-1], []
-        for j in range(len(row) - 1, n):
-            ext.append(c := c * (n_prime - j) // (j + 1))
-        row += tuple(ext)
-    _row = (n_prime, row)
-    return row[:n + 1]
+
+def _naive_rule(n: int, n_prime: int) -> Histogram:
+    return Histogram._trimmed((two_to(n_prime),))
 
 
 def _zaslavsky_rule(n: int, n_prime: int) -> Histogram:
-    return Histogram._trimmed((0,) * n_prime + (sum(_binomials(n, n_prime)),))
+    return Histogram._trimmed((sum(_binomials(n, n_prime)),))
 
 
 def _binomial_rule(n: int, n_prime: int) -> Histogram:
-    # C(n', j) sits at index n' - j, so the top n+1 entries are the row reversed.
-    return Histogram._trimmed((0,) * (n_prime - n) + _binomials(n, n_prime)[::-1])
+    return Histogram._trimmed(_binomials(n, n_prime))  # C(n', j) regions with j units off
 
 
 NAIVE = GammaCollection("naive", _naive_rule)
@@ -86,17 +76,25 @@ BUILTIN: dict[str, GammaCollection] = {
 }
 
 
-def gamma_value(g: GammaCollection, n: int, n_prime: int) -> Histogram:
-    """Evaluate the collection at (n, n') with range validation.
+def rule_counts(g: GammaCollection, n: int, n_prime: int) -> tuple[int, ...]:
+    """g's counts at (n, n') by inactive units; ValueError if there are more than n' + 1."""
+    counts = g.rule(n, n_prime).counts
+    if len(counts) > n_prime + 1:
+        raise ValueError(f"{g!r} gives {len(counts)} counts at width {n_prime}, more than {n_prime + 1}")
+    return counts
 
-    Callers that have n > n' must clamp to min(n, n') themselves; the
-    clamping is part of the transition function, not of the collection.
+
+def gamma_value(g: GammaCollection, n: int, n_prime: int) -> Histogram:
+    """The validated value at (n, n') by image dimension: the rule's counts reversed
+    and padded to n' + 1 entries, the one O(n') place. Callers that have n > n'
+    clamp to min(n, n') themselves, as part of the transition, not the collection.
     """
     check_dims(n, n_prime, low=0)
     check_index_range(n_prime)
     if n > n_prime or n_prime == 0:
         raise ValueError("dimension out of range")
-    return g.rule(n, n_prime)
+    counts = rule_counts(g, n, n_prime)
+    return Histogram._trimmed((0,) * (n_prime + 1 - len(counts)) + counts[::-1])
 
 
 def check_index_range(*dims: int) -> None:

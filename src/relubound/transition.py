@@ -15,7 +15,7 @@ from itertools import compress, repeat, zip_longest
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from .gamma import GammaCollection, MultiSignature, active_units, check_dims, check_index_range
+from .gamma import GammaCollection, MultiSignature, active_units, check_dims, check_index_range, rule_counts
 from .histogram import Histogram, unit
 
 
@@ -83,16 +83,17 @@ def layer_step(column: Callable, n_prime: int, vec: Sequence[int], steps: dict |
 def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
     """Apply the width-n' transition for collection g to histogram v.
 
-    Column k is the collection value at (k, n') clipped at k, so zero above k.
-    n' is checked once; ``layer_step`` asks only for k <= n', the rule's domain.
+    Column k is the value at (k, n') clipped at k, so zero above k, sliced from the
+    rule's counts in O(k); n' is checked once, and ``layer_step`` asks only for k <= n'.
     """
     if type(n_prime) is not int or not 1 <= n_prime <= sys.maxsize:
         check_dims(n_prime)
         check_index_range(n_prime)
 
     def column(k: int) -> tuple[int, ...]:
-        counts = g.rule(k, n_prime).counts
-        return counts[:k] + (sum(counts[k:]),)
+        counts = rule_counts(g, k, n_prime)
+        above = counts[n_prime - k + 1:][::-1]
+        return (0,) * (k - len(above)) + above + (sum(counts[:n_prime - k + 1]),)
 
     return Histogram._trimmed(tuple(layer_step(column, n_prime, v.counts)))
 

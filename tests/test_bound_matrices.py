@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -132,6 +133,12 @@ class TestEvaluateBound:
         assert evaluate_bound(ZASLAVSKY, Architecture(4, (4, 4))) == 256
         assert evaluate_bound(NAIVE, Architecture(4, (4, 4))) == 256
 
+    def test_width_near_10_12(self):
+        """A column costs O(min(n0, n')): width 10^12 at n0 = 2 reads three terms."""
+        w = 10**12
+        for g in (BINOMIAL, ZASLAVSKY):
+            assert evaluate_bound(g, Architecture(2, (w,))) == 1 + w + math.comb(w, 2)
+
     def test_matches_histogram_path(self):
         rng = random.Random(11)
         archs = []
@@ -234,6 +241,16 @@ class TestReferenceBounds:
     def test_naive(self):
         assert naive_bound(Architecture(4, (4, 4))) == 256
         assert naive_bound(Architecture(1, (1,))) == 2
+
+    def test_naive_past_the_power_of_two_cap(self):
+        """Refused before 2^(10^12) is built, by the check ``NAIVE``'s rule shares.
+
+        Without that check this test would allocate memory without bound.
+        """
+        arch = Architecture(2, (10**12,))
+        for call in (naive_bound, partial(evaluate_bound, NAIVE)):
+            with pytest.raises(ValueError, match=f"exponent {10**12} exceeds"):
+                call(arch)
 
     def test_montufar_equals_zaslavsky_path(self):
         rng = random.Random(5)

@@ -74,6 +74,22 @@ class TestBoundCommand:
         assert main(["bound", "--n0", "2", "--widths", "3", "--gamma", "zaslavsky"]) == 0
         assert "zaslavsky: 7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("gamma", ["binomial", "zaslavsky"])
+    def test_width_near_10_12(self, gamma, capsys):
+        assert main(["bound", "--n0", "2", "--widths", "1000000000000", "--gamma", gamma]) == 0
+        assert capsys.readouterr().out.endswith(f"{gamma}: 500000000000500000000001\n")
+
+    @pytest.mark.parametrize("argv", [
+        "bound --n0 2 --widths 1000000000000 --gamma naive",
+        "bound --n0 2 --widths 1000000000000",
+    ])
+    def test_power_of_two_past_the_cap(self, argv, capsys):
+        # without the cap on 2^W, both commands would allocate memory without bound
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == (
+            "error: exponent 1000000000000 exceeds 4294967296:"
+            " 2^1000000000000 is too large to compute\n")
+
     def test_strictness_diagnosis_language(self, capsys):
         main(["bound", "--n0", "2", "--widths", "3"])
         out = capsys.readouterr().out

@@ -37,6 +37,7 @@ from relubound import (
     unit,
 )
 from relubound.fixtures import TRIANGLE_SIGNATURES_DOWN
+from relubound.gamma import MAX_EXPONENT, two_to
 
 
 class TestBuiltinValues:
@@ -128,7 +129,7 @@ def call_sequences(draw):
 
 
 class TestKeptRow:
-    """gamma keeps the last binomial row it computed; no call order may leak a stale one."""
+    """Each value is computed afresh: no call order may leak an earlier width's row."""
 
     @given(call_sequences())
     def test_any_call_order_matches_comb_definition(self, calls):
@@ -137,7 +138,7 @@ class TestKeptRow:
 
     @pytest.mark.parametrize("bad", [2.0, True])
     def test_rejected_size_leaves_an_int_row(self, bad):
-        gamma_value(BINOMIAL, 0, 7)  # a different width, so the next call starts a row
+        gamma_value(BINOMIAL, 0, 7)  # a different width from the calls below
         with pytest.raises(ValueError, match="dimension out of range"):
             gamma_value(BINOMIAL, 1, bad)
         with pytest.raises(ValueError, match="dimension out of range"):
@@ -216,8 +217,32 @@ class TestValidation:
     def test_non_monotone_collection(self):
         # the top entry falls as n grows: gamma_{0,n'} is not below gamma_{1,n'}
         shrinking = GammaCollection(
-            "shrinking", lambda n, n_prime: Histogram((0,) * n_prime + (n_prime + 1 - n,)))
+            "shrinking", lambda n, n_prime: Histogram((n_prime + 1 - n,)))
         assert not check_monotonicity(shrinking, 3)
+
+    def test_rule_with_more_counts_than_the_width_allows(self):
+        # n' + 3 counts at width n': entries past n' + 1 have no image dimension
+        long = GammaCollection("long", lambda n, n_prime: Histogram((1,) * (n_prime + 3)))
+        message = r"GammaCollection\('long'\) gives 6 counts at width 3, more than 4"
+        with pytest.raises(ValueError, match=message):
+            gamma_value(long, 1, 3)
+        with pytest.raises(ValueError, match=message):
+            phi(long, 3, unit(2))
+
+    @pytest.mark.parametrize("e", [MAX_EXPONENT + 1, 10**12])
+    def test_power_of_two_past_the_cap(self, e):
+        """Refused before 2^e is built: 2^(10^12) would need 125 GB."""
+        message = rf"exponent {e} exceeds {MAX_EXPONENT}: 2\^{e} is too large"
+        tracemalloc.start()
+        try:
+            for call in (lambda: two_to(e), lambda: gamma_value(NAIVE, 1, e),
+                         lambda: phi(NAIVE, e, unit(1))):
+                with pytest.raises(ValueError, match=message):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_monotonicity_bad_range(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Transition map: pushing histograms through layers, composition, dims."""
 
+import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -85,6 +87,18 @@ class TestPhi:
         for g in (NAIVE, ZASLAVSKY, BINOMIAL):
             with pytest.raises(ValueError, match=rf"dimension {10**20} exceeds sys.maxsize"):
                 phi(g, 10**20, unit(1))
+
+    def test_wide_column_costs_its_input_dimension(self):
+        """Column 2 of width 10^12 folds C(n', 0..2) onto index 2, with no O(n') padding."""
+        w = 10**12
+        tracemalloc.start()
+        try:
+            h = phi(BINOMIAL, w, unit(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.counts == (0, 0, 1 + w + math.comb(w, 2))
+        assert peak < 2**20
 
     def test_width_past_index_range_reads_no_column(self):
         """The width is checked once per call, so an empty histogram raises too."""
