@@ -37,8 +37,8 @@ MUTANTS = (
     (SIMPLEX, "\n    tab.answer = None\n", "\n",  # a pivot keeps the last vertex's answer
      ["tests/test_simplex.py::TestAnswerReuse::test_random_copy_append_pivot_sequences"]),
     (EMPIRICAL, "child.obj[-1] > 0", "child.obj[-1] >= 0",  # a child with t* = 0 kept
-     ["tests/test_empirical.py::TestFeasible::test_opposite_strict_pair_is_empty",
-      "tests/test_empirical.py::TestRegionLP::test_one_layer[coincident]"]),
+     ["tests/test_empirical.py::TestFeasible::test_strict_rows_meeting_at_a_point_are_empty",
+      "tests/test_enumeration_golden.py::test_enumeration_is_byte_identical[11-10]"]),
     (SIMPLEX, "g = gcd(*values) or 1", "g = 1",  # int rows enter without their gcd divided out
      ["tests/test_simplex.py::TestRowChecks::test_rows_enter_coprime"]),
     (EMPIRICAL, "(c > 0) == bit", "(c >= 0) == bit",  # a constant unit with c = 0 read as on
@@ -48,6 +48,17 @@ MUTANTS = (
      ["tests/test_transition.py::TestPhi::test_width_past_index_range"]),
     (SIMPLEX, "type(u) in (int, Fraction)", "isinstance(u, (int, Fraction))",  # a True cap read as 1
      ["tests/test_simplex.py::TestCapChecks::test_bad_caps_raise[bool]"]),
+    (EMPIRICAL, "(h[3] | k[3]) > 0", "(h[3] | k[3]) >= 0",  # equal non-strict bounds read as empty
+     ["tests/test_empirical.py::TestParallelUnits::test_opposite_pair_keeps_the_point_between",
+      "tests/test_line_oracle.py::test_enumeration_matches_oracle[radius0]",
+      "tests/test_enumeration_golden.py::test_enumeration_is_byte_identical[1-10]"]),
+    (EMPIRICAL, "gcd(*a) if a > zero else -gcd(*a)", "gcd(*a)",  # opposite rows given two keys
+     ["tests/test_empirical.py::TestEnumeration::test_bland_path_is_pinned",
+      "tests/test_empirical.py::TestParallelUnits::test_layer_on_one_live_row_matches_the_oracle"]),
+    (EMPIRICAL, "bits + (bits[v],)", "bits + (1 - bits[v],)",  # a repeated row takes the other bit
+     ["tests/test_empirical.py::TestParallelUnits::test_repeated_units_cost_no_lp[50]",
+      "tests/test_empirical.py::TestRegionLP::test_one_layer[coincident]",
+      "tests/test_enumeration_golden.py::test_enumeration_is_byte_identical[4-10]"]),
     (EMPIRICAL, "grid = 10 ** 9", "grid = 10 ** 2",  # samples on a grid coarser than a region
      ["tests/test_empirical.py::TestSampling::test_finds_a_region_narrower_than_a_coarse_grid"]),
     (TRANSITION, "counts[n_prime - k + 1:]", "counts[n_prime - k:]",  # dimension k kept and folded

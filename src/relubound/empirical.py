@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -39,6 +39,10 @@ Matrix = tuple[Vector, ...]
 # (D, rows): each active unit k of a layer with its pre-activation's int numerators
 # (A_1, ..., A_n0, C) over D > 0, in the region LP's coordinates z = x + R.
 Live = tuple[int, tuple[tuple[int, Sequence[int]], ...]]
+# A halfspace on a unit row's key k (see ``_expand_region``): (side, num, den, strict)
+# for (-1)^side k.z > num / den, >= unless strict, den > 0; _FREE bounds no side (-1/0).
+Half = tuple[int, int, int, int]
+_FREE = ((0, -1, 0, 0), (1, -1, 0, 0))
 
 DEFAULT_BOX_RADIUS = Fraction(10 ** 6)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # ints and "p/q": no point or exponent
@@ -120,11 +124,13 @@ class RegionRecord:
 
 class Region(NamedTuple):
     """A region under expansion: its signature prefix, its optimal LP
-    tableau and the ``live`` rows of its active units (see ``_expand_region``)."""
+    tableau, the ``live`` rows of its active units and, per key, the tightest
+    halfspace on each side among its path's unit rows (see ``_expand_region``)."""
 
     prefix: MultiSignature
     tableau: Tableau
     live: Live
+    bounds: Mapping[tuple[int, ...], tuple[Half, Half]]
 
 
 def signature_at(net: ReluNetwork, x: Sequence) -> MultiSignature:
@@ -156,10 +162,10 @@ def _root(radius: Fraction, n0: int) -> Region:
     """The box as a region, in the LP's coordinates z = x + R: its optimal LP
     is max t over z in [0, 2R]^n0, t in [0, 1], and its active units are the
     inputs, x_j = (den z_j - num) / den for R = num / den. Each constraint
-    is then appended by one ``_cut``."""
+    is then appended by one ``_cut``. Inputs are not constraints: no bounds."""
     num, den = radius.as_integer_ratio()
     inputs = tuple((j, tuple(den * (i == j) for i in range(n0)) + (-num,)) for j in range(n0))
-    return Region((), capped([0] * n0 + [1], [2 * radius] * n0 + [1]), (den, inputs))
+    return Region((), capped([0] * n0 + [1], [2 * radius] * n0 + [1]), (den, inputs), {})
 
 
 def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
@@ -173,7 +179,8 @@ def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
     decides which: the bit that holds (1 iff c > 0) is ``tab`` itself, and
     the other None. The left-out row d t <= c (c > 0) prunes nothing here or
     below: t is only in bit-1 rows a.z + c' >= d' t, d' > 0, and t <= 1, so
-    a feasible (z, t) with t > 0 stays feasible as (z, min(t, c / d))."""
+    a feasible (z, t) with t > 0 stays feasible as (z, min(t, c / d)).
+    A child that a parallel or repeated row decides never gets here."""
     *a, c = f
     if not any(a):
         return tab if (c > 0) == bit else None
@@ -212,7 +219,28 @@ def _check_guard(net: ReluNetwork, allow_large: bool) -> None:
         raise ValueError("instance too large")
 
 
-def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]) -> list[Region]:
+def _disjoint(h: Half, k: Half) -> bool:
+    """Whether halfspaces h and k of one key face each other and cross, or meet
+    where one is strict; equal non-strict bounds meet in a hyperplane, which counts."""
+    return h[0] != k[0] and h[1] * k[2] + k[1] * h[2] + (h[3] | k[3]) > 0
+
+
+def _tighten(bounds: Mapping, sides: list, bits: Signature) -> dict:
+    """``bounds`` with each unit's halfspace for its bit, keeping per key the
+    tightest on each side: the greater num / den, then the strict one."""
+    bounds = dict(bounds)
+    for side, bit in zip(sides, bits):
+        if side:
+            key, h = side[0], side[1][bit]
+            pair = bounds.get(key, _FREE)
+            k = pair[h[0]]
+            if (h[1] * k[2] - k[1] * h[2], h[3]) > (0, k[3]):
+                bounds[key] = (h, pair[1]) if h[0] == 0 else (pair[0], h)
+    return bounds
+
+
+def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]],
+                   last: bool) -> list[Region]:
     """All feasible extensions of one region by one layer.
 
     The region's ``live`` pairs each active unit k of the previous layer
@@ -227,6 +255,16 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     parent's optimal tableau, with at most one LP, so empty bit prefixes are
     pruned early and no LP is rebuilt. A unit that is constant on the region
     gives it one child, its own tableau, decided there without an LP.
+
+    Before ``_cut``, two rules decide a child with no copy and no LP. A unit
+    with a != 0 has the key k = a / g, g = +-gcd(a) signed so that k's first
+    nonzero entry is positive: bit 1 holds where g (k.z + c / g) > 0, bit 0
+    on the rest. A child whose halfspace is ``_disjoint`` from one of its key
+    on the region's path (``region.bounds``, made only when not ``last``) or
+    from an earlier unit's in this sweep, at that unit's bit, is empty. A
+    unit whose row equals an earlier unit's takes its bit and its tableau.
+    Every other child gets the LP it got without the rules, so records and
+    witnesses are unchanged.
     """
     d, rows = region.live
     q, weights, biases = layer
@@ -242,11 +280,30 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     # No solve at the root: the previous layer's leaf LP (or, for the input
     # region, the box itself) already proved the region's constraints feasible.
     partial = [((), region.tableau)]
-    for f in funcs:
+    # sides[u]: unit u's key and halfspaces for bit 0 and 1, None for a constant
+    # unit or a repeat; groups: each key's units so far, repeats left out.
+    zero, first, groups, sides = [0] * (width - 1), {}, {}, []
+    for u, f in enumerate(funcs):
+        *a, c = f
+        if (v := first.setdefault(tuple(f), u)) != u:
+            sides.append(None)
+            partial = [(bits + (bits[v],), tab) for bits, tab in partial]
+            continue
+        h, path, near = None, (), []
+        if a != zero:
+            g = gcd(*a) if a > zero else -gcd(*a)
+            key, s, g = tuple(x // g for x in a), int(g < 0), abs(g)
+            h = (1 - s, c, g, 0), (s, -c, g, 1)
+            path, near = region.bounds.get(key, ()), groups.setdefault(key, [])
+        sides.append(h and (key, h))
         partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
-                   if (child := _cut(tab, f, d, bit)) is not None]
+                   if not ((path or near) and any(_disjoint(h[bit], k) for k in (
+                       *path, *(sides[w][1][bits[w]] for w in near))))
+                   and (child := _cut(tab, f, d, bit)) is not None]
+        near.append(u)
     return [Region(region.prefix + (bits,), tab,
-                   (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)))
+                   (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)),
+                   {} if last else _tighten(region.bounds, sides, bits))
             for bits, tab in partial]
 
 
@@ -275,10 +332,9 @@ def enumerate_regions(
     while stack:
         region = stack.pop()
         if (depth := len(region.prefix)) == len(layers):
-            witness = tuple(v - radius for v in region.tableau.point()[:-1])
-            records.append(RegionRecord(region.prefix, witness))
+            records.append(RegionRecord(region.prefix, tuple(region.tableau.point(radius)[:-1])))
         else:
-            stack.extend(reversed(_expand_region(region, layers[depth])))
+            stack.extend(reversed(_expand_region(region, layers[depth], depth + 1 == len(layers))))
     return EnumerationResult(tuple(records))
 
 

@@ -52,12 +52,14 @@ class Tableau:
         return Tableau(self.n, self.table[:], self.obj, self.basis[:],
                        self.nonbasic[:], self.d, self.scale, self.answer)
 
-    def point(self) -> list[Fraction]:
-        """The structural variables' values at the current basic solution."""
-        z = [Fraction(0)] * self.n
+    def point(self, shift: int | Fraction = 0) -> list[Fraction]:
+        """The structural variables' values at the current basic solution,
+        each less ``shift``: one ``Fraction`` per value, made from ints."""
+        p, q = shift.as_integer_ratio()
+        z = [Fraction(-p, q)] * self.n
         for v, row in zip(self.basis, self.table):
             if v < self.n:
-                z[v] = Fraction(row[-1], self.d)
+                z[v] = Fraction(row[-1] * q - p * self.d, self.d * q)
         return z
 
 

@@ -32,6 +32,7 @@ from relubound.fixtures import (
     TRIANGLE_SIGNATURES_UP,
 )
 from test_enumeration_golden import degenerate_network
+from test_fm_oracle import oracle_regions
 from test_line_oracle import line_multisignatures
 
 F = Fraction
@@ -118,6 +119,12 @@ class TestFeasible:
     def test_opposite_strict_pair_is_empty(self):
         # x > 0 and -x > 0 leave nothing
         assert (1, 1) not in one_layer_signatures([[1], [-1]], [0, 0])
+
+    def test_strict_rows_meeting_at_a_point_are_empty(self):
+        # x > 0, y > 0 and x + y < 0: no two are parallel, and their closures
+        # share only the origin, where the LP's optimum is t* = 0
+        signatures = one_layer_signatures([[1, 0], [0, 1], [-1, -1]], [0, 0, 0])
+        assert (0, 0, 0) in signatures and (1, 1, 1) not in signatures
 
     def test_strict_zero_row_is_empty(self):
         # 0 > 0 is feasible for the LP but its optimum is t* = 0
@@ -289,7 +296,7 @@ class TestEnumeration:
         monkeypatch.setattr(empirical, "solve_max", recording)
         enumerate_regions(random_network(Architecture(2, (3, 2)), 4), F(10))
         assert len(solved) == len(set(solved))
-        assert len(solved) == 44
+        assert len(solved) == 41
         assert all(n == 0 for holds, n in cost if holds)
         assert {holds for holds, _ in cost} == {True, False}
 
@@ -299,10 +306,10 @@ class TestEnumeration:
         points = []
         point, solver = simplex.Tableau.point, simplex.solve_max.__code__
 
-        def counting(tab):
+        def counting(tab, *shift):
             if sys._getframe(1).f_code is not solver:
                 points.append(None)
-            return point(tab)
+            return point(tab, *shift)
 
         monkeypatch.setattr(simplex.Tableau, "point", counting)
         result = enumerate_regions(random_network(Architecture(2, (3, 3, 2)), 5), BOX10)
@@ -347,7 +354,7 @@ class TestEnumeration:
         monkeypatch.setattr(simplex, "_pivot", counting_pivot)
         monkeypatch.setattr(empirical, "solve_max", counting_solve)
         result = enumerate_regions(random_network(Architecture(3, (5, 5, 5)), 7))
-        assert (result.count, len(lps), len(pivots)) == (302, 2350, 2104)
+        assert (result.count, len(lps), len(pivots)) == (302, 2074, 1735)
 
 
 def scaled_network(net, s):
@@ -465,6 +472,47 @@ class TestConstantUnits:
                 if a is not None:
                     plain, with_cap = a, b
         assert verdicts == {True, False}
+
+
+# On x1 + 2 x2 > 1 the second layer reads h = x1 + 2 x2 - 1 > 0 alone, so its
+# rows h - 1, -h - 1 and -2 h + 2 are all parallel to that live row.
+ON_ONE_ROW = ReluNetwork(2, (ReluLayer([[1, 2]], [-1]), ReluLayer([[1], [-1], [-2]], [-1, -1, 2])))
+
+
+def counting_solves(monkeypatch):
+    """The list that every later ``solve_max`` call from the enumerator appends to."""
+    solves = []
+    solve_max = empirical.solve_max
+    monkeypatch.setattr(empirical, "solve_max",
+                        lambda tab, rows: solves.append(rows) or solve_max(tab, rows))
+    return solves
+
+
+class TestParallelUnits:
+    def test_opposite_pair_keeps_the_point_between(self):
+        """x <= 0 and -x <= 0 meet at x = 0 alone: equal non-strict bounds
+        leave a lower-dimensional region, and it counts."""
+        assert one_layer_signatures([[1], [-1]], [0, 0]) == {(0, 1), (0, 0), (1, 0)}
+
+    def test_layer_on_one_live_row_matches_the_oracle(self, monkeypatch):
+        """Bit 1 of -h - 1 contradicts h > 0 on the path, and each unit after
+        h - 1 is decided against it on one side: 9 LPs, where deciding every
+        child by an LP takes 12, and h = 1 itself is a region."""
+        solves = counting_solves(monkeypatch)
+        result = enumerate_regions(ON_ONE_ROW, 10 ** 9)
+        assert result.multisignatures == oracle_regions(ON_ONE_ROW)
+        assert ((1,), (0, 0, 0)) in result.multisignatures
+        assert (result.count, len(solves)) == (4, 9)
+
+    @pytest.mark.parametrize("k", [1, 50])
+    def test_repeated_units_cost_no_lp(self, k, monkeypatch):
+        """k equal units take the first one's bit on its tableau: two regions
+        and the two LPs of one unit, for any k."""
+        solves = counting_solves(monkeypatch)
+        net = ReluNetwork(2, (ReluLayer([[3, -1]] * k, [1] * k),))
+        result = enumerate_regions(net, BOX10, allow_large=True)
+        assert result.multisignatures == {((0,) * k,), ((1,) * k,)}
+        assert len(solves) == 2
 
 
 class TestWitnesses:
