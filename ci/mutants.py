@@ -64,6 +64,8 @@ MUTANTS = (
     (TRANSITION, "counts[n_prime - k + 1:]", "counts[n_prime - k:]",  # dimension k kept and folded
      ["tests/test_transition.py::TestPhi::test_unit_input_clips_gamma",
       "tests/test_bound_matrices.py::TestColumnPin::test_matrices_up_to_width_64[binomial]"]),
+    (TRANSITION, "_trim((0,) * (k - len(above))", "((0,) * (k - len(above))",  # a column's zeros kept
+     ["tests/test_bound_matrices.py::TestBoundMatrix::test_columns_are_phi_of_units_and_rows_their_dense_view"]),
     (GAMMA, "len(counts) > n_prime + 1", "len(counts) > n_prime + 3",  # counts past dimension 0 read
      ["tests/test_gamma.py::TestValidation::test_rule_with_more_counts_than_the_width_allows"]),
     (BOUNDS, "min(run_min, w - j)", "min(run_min, w)",  # the active units not subtracted

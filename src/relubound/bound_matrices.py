@@ -20,8 +20,7 @@ from itertools import accumulate, pairwise
 from typing import Iterator
 
 from .gamma import GammaCollection, check_dims, check_index_range, two_to
-from .histogram import unit
-from .transition import Architecture, layer_step, phi
+from .transition import Architecture, bound_column, layer_step, phi  # phi re-exported
 
 Row = tuple[int, ...]
 
@@ -52,13 +51,9 @@ class ConnectorMatrix:
     rows: tuple[Row, ...]
 
 
-def bound_column(g: GammaCollection, n_prime: int, k: int) -> Row:
-    """Column k of B_{n'}: phi of the unit count at k, trimmed (zero past index k)."""
-    return phi(g, n_prime, unit(k)).counts
-
-
 def build_bound_matrix(g: GammaCollection, n_prime: int) -> BoundMatrix:
     check_dims(n_prime)
+    check_index_range(n_prime)
     return BoundMatrix(n_prime, tuple(bound_column(g, n_prime, j) for j in range(n_prime + 1)))
 
 
@@ -76,7 +71,7 @@ def bound_vectors(g: GammaCollection, arch: Architecture) -> Iterator[list[int]]
     """B_{nl} M ... B_{n1} M e_{n0+1} for l = 1..L: the depth-l bound is its l1 norm.
 
     B_{n'} M e_j is column min(j, n') of B_{n'}, so each layer is one
-    ``layer_step`` over B_{n'}'s columns; no connector or product is formed.
+    ``layer_step`` over ``bound_column``; no connector, product or ``phi`` is formed.
     The start is e_{min(n0, n1)+1} and column k is zero above k, so each vector
     is yielded as that support prefix; a width-n' layer reads only columns
     0..min(n0, n1, n'), built once, and from its second layer on sums by parts

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat, zip_longest
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .gamma import GammaCollection, MultiSignature, active_units, check_dims, check_index_range, rule_counts
-from .histogram import Histogram, unit
+from .histogram import Histogram, _trim, unit
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,22 @@ def layer_step(column: Callable, n_prime: int, vec: Sequence[int], steps: dict |
     return out
 
 
-def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
-    """Apply the width-n' transition for collection g to histogram v.
+def bound_column(g: GammaCollection, n_prime: int, k: int) -> tuple[int, ...]:
+    """Column k <= n' of B_{n'}: the value at (k, n') clipped at k, sliced from the
+    rule's counts in O(k) (i > n' - k inactive units land at index n' - i, the rest
+    fold onto k) and trimmed, so zero past index k."""
+    counts = rule_counts(g, k, n_prime)
+    above = counts[n_prime - k + 1:][::-1]
+    return _trim((0,) * (k - len(above)) + above + (sum(counts[:n_prime - k + 1]),))
 
-    Column k is the value at (k, n') clipped at k, so zero above k, sliced from the
-    rule's counts in O(k); n' is checked once, and ``layer_step`` asks only for k <= n'.
-    """
+
+def phi(g: GammaCollection, n_prime: int, v: Histogram) -> Histogram:
+    """Apply the width-n' transition for collection g to histogram v: n' is checked
+    once, then ``layer_step`` reads the columns k <= n' from ``bound_column``."""
     if type(n_prime) is not int or not 1 <= n_prime <= sys.maxsize:
         check_dims(n_prime)
         check_index_range(n_prime)
-
-    def column(k: int) -> tuple[int, ...]:
-        counts = rule_counts(g, k, n_prime)
-        above = counts[n_prime - k + 1:][::-1]
-        return (0,) * (k - len(above)) + above + (sum(counts[:n_prime - k + 1]),)
-
-    return Histogram._trimmed(tuple(layer_step(column, n_prime, v.counts)))
+    return Histogram._trimmed(tuple(layer_step(partial(bound_column, g, n_prime), n_prime, v.counts)))
 
 
 def compose_bound_histogram(g: GammaCollection, arch: Architecture) -> Histogram:

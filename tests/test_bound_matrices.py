@@ -71,7 +71,7 @@ class TestBoundMatrix:
                     assert rows[i][j] == 0
 
     def test_columns_are_phi_of_units_and_rows_their_dense_view(self):
-        for g in (NAIVE, ZASLAVSKY, BINOMIAL, ZERO_AT_ONE):
+        for g in (NAIVE, ZASLAVSKY, BINOMIAL, ZERO_AT_ONE, EMPTY_AT_ODD):
             for n in range(1, 13):
                 m = build_bound_matrix(g, n)
                 assert len(m.columns) == n + 1
@@ -160,7 +160,7 @@ class TestEvaluateBound:
 
     def test_builds_only_the_columns_it_reads(self, monkeypatch):
         """No bound matrix is built, and no column outlives the call that built it."""
-        calls = {"phi": 0, "build_bound_matrix": 0}
+        calls = {"bound_column": 0, "build_bound_matrix": 0}
         for name in calls:
             def counted(*args, real=getattr(bound_matrices, name), name=name):
                 calls[name] += 1
@@ -170,8 +170,8 @@ class TestEvaluateBound:
             # layer 1 reads column 2 of B_3, layer 2 columns 1 and 2 of B_3 (2 is
             # kept), layer 3 columns 1 and 2 of B_4
             assert evaluate_bound(BINOMIAL, Architecture(2, (3, 3, 4))) == 296
-            assert calls == {"phi": 4, "build_bound_matrix": 0}
-            calls.update(phi=0)
+            assert calls == {"bound_column": 4, "build_bound_matrix": 0}
+            calls.update(bound_column=0)
         # one column, 2, of a width too large to build a matrix of: 1 + n' + C(n', 2)
         assert evaluate_bound(BINOMIAL, Architecture(2, (100_000,))) == 5000050001
 
