@@ -41,7 +41,7 @@ MUTANTS = (
       "tests/test_enumeration_golden.py::test_enumeration_is_byte_identical[11-10]"]),
     (SIMPLEX, "g = gcd(*values) or 1", "g = 1",  # int rows enter without their gcd divided out
      ["tests/test_simplex.py::TestRowChecks::test_rows_enter_coprime"]),
-    (EMPIRICAL, "(c > 0) == bit", "(c >= 0) == bit",  # a constant unit with c = 0 read as on
+    (EMPIRICAL, "int(c > 0)", "int(c >= 0)",  # a constant unit with c = 0 read as on
      ["tests/test_empirical.py::TestEnumeration::test_zero_network_single_region",
       "tests/test_empirical.py::TestFeasible::test_strict_zero_row_is_empty"]),
     (TRANSITION, "not 1 <= n_prime <= sys.maxsize", "n_prime < 1",  # a width past the index range read
@@ -55,10 +55,16 @@ MUTANTS = (
     (EMPIRICAL, "gcd(*a) if a > zero else -gcd(*a)", "gcd(*a)",  # opposite rows given two keys
      ["tests/test_empirical.py::TestEnumeration::test_bland_path_is_pinned",
       "tests/test_empirical.py::TestParallelUnits::test_layer_on_one_live_row_matches_the_oracle"]),
-    (EMPIRICAL, "bits + (bits[v],)", "bits + (1 - bits[v],)",  # a repeated row takes the other bit
+    (EMPIRICAL, "bits[v] if v != u", "1 - bits[v] if v != u",  # a repeated row takes the other bit
      ["tests/test_empirical.py::TestParallelUnits::test_repeated_units_cost_no_lp[50]",
       "tests/test_empirical.py::TestRegionLP::test_one_layer[coincident]",
       "tests/test_enumeration_golden.py::test_enumeration_is_byte_identical[4-10]"]),
+    (EMPIRICAL, "> (0, k[3])", "< (0, k[3])",  # the path keeps each side's loosest bound
+     ["tests/test_empirical.py::TestEnumeration::test_no_constraint_system_solved_twice"]),
+    (EMPIRICAL, "{} if last else _tighten(region.bounds, groups, bits)", "{}",  # no path bounds
+     ["tests/test_empirical.py::TestEnumeration::test_no_constraint_system_solved_twice"]),
+    (EMPIRICAL, "hw[bits[w]]", "hw[1 - bits[w]]",  # the sweep checks an earlier unit's other bit
+     ["tests/test_empirical.py::TestEnumeration::test_three_thresholds_on_a_line"]),
     (EMPIRICAL, "grid = 10 ** 9", "grid = 10 ** 2",  # samples on a grid coarser than a region
      ["tests/test_empirical.py::TestSampling::test_finds_a_region_narrower_than_a_coarse_grid"]),
     (TRANSITION, "counts[n_prime - k + 1:]", "counts[n_prime - k:]",  # dimension k kept and folded

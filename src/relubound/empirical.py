@@ -169,21 +169,11 @@ def _root(radius: Fraction, n0: int) -> Region:
 
 
 def _cut(tab: Tableau, f: list[int], d: int, bit: int) -> Tableau | None:
-    """The child LP: ``tab`` plus the row of f = (a, c) over d > 0,
+    """The child LP: ``tab`` plus the row of f = (a, c) over d > 0, a != 0,
     a.z + c >= d t if bit is 1 and a.z + c <= 0 if it is 0, both in ints;
     None if the child is empty, that is unless the LP is optimal with t* > 0,
-    whose sign is that of the int obj[-1]: t* = obj[-1] g / (d m), g, m, d > 0.
-
-    A unit with a = 0 is constant on the region (in the paper's terms, column
-    0 of every bound matrix is e_0), so one bit holds on all of it and no LP
-    decides which: the bit that holds (1 iff c > 0) is ``tab`` itself, and
-    the other None. The left-out row d t <= c (c > 0) prunes nothing here or
-    below: t is only in bit-1 rows a.z + c' >= d' t, d' > 0, and t <= 1, so
-    a feasible (z, t) with t > 0 stays feasible as (z, min(t, c / d)).
-    A child that a parallel or repeated row decides never gets here."""
+    whose sign is that of the int obj[-1]: t* = obj[-1] g / (d m), g, m, d > 0."""
     *a, c = f
-    if not any(a):
-        return tab if (c > 0) == bit else None
     row = [*(-x for x in a), d, c] if bit else [*a, 0, -c]
     child = tab.copy()
     status, _, _ = solve_max(child, [row])
@@ -225,14 +215,13 @@ def _disjoint(h: Half, k: Half) -> bool:
     return h[0] != k[0] and h[1] * k[2] + k[1] * h[2] + (h[3] | k[3]) > 0
 
 
-def _tighten(bounds: Mapping, sides: list, bits: Signature) -> dict:
-    """``bounds`` with each unit's halfspace for its bit, keeping per key the
-    tightest on each side: the greater num / den, then the strict one."""
+def _tighten(bounds: Mapping, groups: Mapping, bits: Signature) -> dict:
+    """``bounds`` with each grouped unit's halfspace for its bit, keeping per key
+    the tightest on each side: the greater num / den, then the strict one."""
     bounds = dict(bounds)
-    for side, bit in zip(sides, bits):
-        if side:
-            key, h = side[0], side[1][bit]
-            pair = bounds.get(key, _FREE)
+    for key, units in groups.items():
+        for u, h in units:
+            h, pair = h[bits[u]], bounds.get(key, _FREE)
             k = pair[h[0]]
             if (h[1] * k[2] - k[1] * h[2], h[3]) > (0, k[3]):
                 bounds[key] = (h, pair[1]) if h[0] == 0 else (pair[0], h)
@@ -251,20 +240,27 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     q times that denominator, are LP rows as they stand; inactive units
     output 0 and cost nothing. One sweep per unit replaces each partial
     signature by its children, bit 0 before bit 1, so the regions come out
-    in lexicographic order; ``_cut`` alone decides each child from its
-    parent's optimal tableau, with at most one LP, so empty bit prefixes are
-    pruned early and no LP is rebuilt. A unit that is constant on the region
-    gives it one child, its own tableau, decided there without an LP.
+    in lexicographic order; each child is decided from its parent's optimal
+    tableau, with at most one LP, so empty bit prefixes are pruned early
+    and no LP is rebuilt.
 
-    Before ``_cut``, two rules decide a child with no copy and no LP. A unit
-    with a != 0 has the key k = a / g, g = +-gcd(a) signed so that k's first
-    nonzero entry is positive: bit 1 holds where g (k.z + c / g) > 0, bit 0
-    on the rest. A child whose halfspace is ``_disjoint`` from one of its key
-    on the region's path (``region.bounds``, made only when not ``last``) or
-    from an earlier unit's in this sweep, at that unit's bit, is empty. A
-    unit whose row equals an earlier unit's takes its bit and its tableau.
-    Every other child gets the LP it got without the rules, so records and
-    witnesses are unchanged.
+    A unit whose bit is already known needs no LP and keeps its parent's
+    tableau. A unit whose row equals an earlier unit's takes that unit's
+    bit. A unit with a = 0 is constant on the region (in the paper's terms,
+    column 0 of every bound matrix is e_0): it takes bit 1 iff c > 0, and
+    its other child is empty. Its left-out row prunes nothing here or below:
+    0 <= -c holds everywhere, and for d t <= c, t is only in bit-1 rows
+    a.z + c' >= d' t, d' > 0, and t <= 1, so a feasible (z, t) with t > 0
+    stays feasible as (z, min(t, c / d)).
+
+    Every other unit has the key k = a / g, g = +-gcd(a) signed so that k's
+    first nonzero entry is positive: bit 1 holds where g (k.z + c / g) > 0,
+    bit 0 on the rest. A child whose halfspace is ``_disjoint`` from one of
+    its key on the region's path (``region.bounds``, made only when not
+    ``last``) or from an earlier unit's in this sweep, at that unit's bit,
+    is empty with no copy and no LP. Every other child gets the LP of
+    ``_cut`` it got without these rules, so records and witnesses are
+    unchanged.
     """
     d, rows = region.live
     q, weights, biases = layer
@@ -280,30 +276,26 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     # No solve at the root: the previous layer's leaf LP (or, for the input
     # region, the box itself) already proved the region's constraints feasible.
     partial = [((), region.tableau)]
-    # sides[u]: unit u's key and halfspaces for bit 0 and 1, None for a constant
-    # unit or a repeat; groups: each key's units so far, repeats left out.
-    zero, first, groups, sides = [0] * (width - 1), {}, {}, []
+    # first: each row's first unit; groups: each key's units so far, with their
+    # halfspaces for bit 0 and 1.
+    zero, first, groups = [0] * (width - 1), {}, {}
     for u, f in enumerate(funcs):
         *a, c = f
-        if (v := first.setdefault(tuple(f), u)) != u:
-            sides.append(None)
-            partial = [(bits + (bits[v],), tab) for bits, tab in partial]
+        if (v := first.setdefault(tuple(f), u)) != u or a == zero:
+            partial = [(bits + (bits[v] if v != u else int(c > 0),), tab) for bits, tab in partial]
             continue
-        h, path, near = None, (), []
-        if a != zero:
-            g = gcd(*a) if a > zero else -gcd(*a)
-            key, s, g = tuple(x // g for x in a), int(g < 0), abs(g)
-            h = (1 - s, c, g, 0), (s, -c, g, 1)
-            path, near = region.bounds.get(key, ()), groups.setdefault(key, [])
-        sides.append(h and (key, h))
+        g = gcd(*a) if a > zero else -gcd(*a)
+        key, s, g = tuple(x // g for x in a), int(g < 0), abs(g)
+        h = (1 - s, c, g, 0), (s, -c, g, 1)
+        path, near = region.bounds.get(key, ()), groups.setdefault(key, [])
         partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
                    if not ((path or near) and any(_disjoint(h[bit], k) for k in (
-                       *path, *(sides[w][1][bits[w]] for w in near))))
+                       *path, *(hw[bits[w]] for w, hw in near))))
                    and (child := _cut(tab, f, d, bit)) is not None]
-        near.append(u)
+        near.append((u, h))
     return [Region(region.prefix + (bits,), tab,
                    (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)),
-                   {} if last else _tighten(region.bounds, sides, bits))
+                   {} if last else _tighten(region.bounds, groups, bits))
             for bits, tab in partial]
 
 
@@ -317,7 +309,7 @@ def enumerate_regions(
     an explicit stack; records come in that order, which sorts their prefixes.
 
     A unit that is constant on a region (a = 0) costs no LP: column 0 of
-    every bound matrix is e_0 (see ``_cut``)."""
+    every bound matrix is e_0 (see ``_expand_region``)."""
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
     # Each layer in ints, made per call: W q and b q, q the lcm of its denominators.

@@ -438,18 +438,35 @@ class TestConstantUnits:
         (3, 1, "tab", 0),  # constant on: bit 1 is the region itself
     ])
     def test_cut_decides_a_constant_unit(self, c, bit, kept, calls, monkeypatch):
-        """``_cut`` on a row with a = 0: the parent's tableau itself for the
-        bit that holds (1 iff c > 0), and None for the other, with no LP."""
-        solves = []
-        solve_max = empirical.solve_max
-        monkeypatch.setattr(empirical, "solve_max",
-                            lambda tab, rows: solves.append(rows) or solve_max(tab, rows))
-        tab = simplex.capped([0, 0, 1], [F(20), F(20), 1])
+        """The cut by a unit with a = 0 is decided in ``_expand_region``, not
+        by ``_cut``: the region's one child is the bit that holds (1 iff
+        c > 0), on the parent's own tableau, the other bit has no child, and
+        no LP is solved."""
+        solves = counting_solves(monkeypatch)
+        root = empirical._root(F(10), 2)
+        tab = root.tableau
         before = (tab.table[:], tab.basis[:], tab.obj, tab.d)
-        child = empirical._cut(tab, [0, 0, c], 2, bit)
-        assert len(solves) == calls
+        children = empirical._expand_region(root, (1, [[0, 0]], [c]), True)
+        assert [child.prefix for child in children] == [((int(c > 0),),)]
+        child = next((ch.tableau for ch in children if ch.prefix == ((bit,),)), None)
         assert child is (tab if kept == "tab" else None)
+        assert len(solves) == calls
         assert (tab.table, tab.basis, tab.obj, tab.d) == before
+
+    def test_cut_gets_no_constant_row(self, monkeypatch):
+        """Every row the enumerator hands to ``_cut`` has a != 0: constant
+        units, on and off, are decided in ``_expand_region``."""
+        rows = []
+        cut = empirical._cut
+
+        def recording(tab, f, d, bit):
+            rows.append(f)
+            return cut(tab, f, d, bit)
+
+        monkeypatch.setattr(empirical, "_cut", recording)
+        for net in (CONSTANT_UNITS, DEAD_FIRST_LAYER, *map(degenerate_network, range(8))):
+            enumerate_regions(net, BOX10)
+        assert rows and all(any(f[:-1]) for f in rows)
 
     def test_cap_row_never_decides_a_child(self):
         """The row d t <= c (c > 0) that a constant-on unit leaves out changes
@@ -503,6 +520,33 @@ class TestParallelUnits:
         assert result.multisignatures == oracle_regions(ON_ONE_ROW)
         assert ((1,), (0, 0, 0)) in result.multisignatures
         assert (result.count, len(solves)) == (4, 9)
+
+    def test_tightest_bound_stands_for_its_side(self):
+        """The premise of ``Region.bounds``: among seeded random halfspaces of
+        one key, kept over two layers, a halfspace is ``_disjoint`` from some
+        member iff it is disjoint from the bound ``_tighten`` keeps on the
+        opposite side."""
+        rng = random.Random(0)
+
+        def halves():
+            c, g, s = rng.randint(-4, 4), rng.randint(1, 3), rng.randint(0, 1)
+            return (1 - s, c, g, 0), (s, -c, g, 1)
+
+        verdicts = set()
+        for _ in range(300):
+            bounds, members = {}, []
+            for _ in range(2):
+                units = [(u, halves()) for u in range(rng.randint(0, 4))]
+                bits = tuple(rng.randint(0, 1) for _ in units)
+                bounds = empirical._tighten(bounds, {(1, -2): units}, bits)
+                members += [h[bits[u]] for u, h in units]
+            kept = bounds.get((1, -2), empirical._FREE)
+            for _ in range(6):
+                h = halves()[rng.randint(0, 1)]
+                disjoint = any(empirical._disjoint(h, k) for k in members)
+                assert disjoint == empirical._disjoint(h, kept[1 - h[0]])
+                verdicts.add(disjoint)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("k", [1, 50])
     def test_repeated_units_cost_no_lp(self, k, monkeypatch):
