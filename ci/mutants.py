@@ -55,16 +55,22 @@ MUTANTS = (
     (EMPIRICAL, "gcd(*a) if a > zero else -gcd(*a)", "gcd(*a)",  # opposite rows given two keys
      ["tests/test_empirical.py::TestEnumeration::test_bland_path_is_pinned",
       "tests/test_empirical.py::TestParallelUnits::test_layer_on_one_live_row_matches_the_oracle"]),
-    (EMPIRICAL, "bits[v] if v != u", "1 - bits[v] if v != u",  # a repeated row takes the other bit
-     ["tests/test_empirical.py::TestParallelUnits::test_repeated_units_cost_no_lp[50]",
-      "tests/test_empirical.py::TestRegionLP::test_one_layer[coincident]",
-      "tests/test_enumeration_golden.py::test_enumeration_is_byte_identical[4-10]"]),
-    (EMPIRICAL, "> (0, k[3])", "< (0, k[3])",  # the path keeps each side's loosest bound
+    (EMPIRICAL, "> (0, pair[h[0]][3])", "< (0, pair[h[0]][3])",  # each side's loosest bound kept
      ["tests/test_empirical.py::TestEnumeration::test_no_constraint_system_solved_twice"]),
-    (EMPIRICAL, "{} if last else _tighten(region.bounds, groups, bits)", "{}",  # no path bounds
+    (EMPIRICAL, "dict(region.bounds))]", "{})]",  # partial bounds started without the path's
      ["tests/test_empirical.py::TestEnumeration::test_no_constraint_system_solved_twice"]),
-    (EMPIRICAL, "hw[bits[w]]", "hw[1 - bits[w]]",  # the sweep checks an earlier unit's other bit
-     ["tests/test_empirical.py::TestEnumeration::test_three_thresholds_on_a_line"]),
+    (EMPIRICAL, "[h[bit][0]]", "[1 - h[bit][0]]",  # the bound read on the other child's own side
+     ["tests/test_empirical.py::TestEnumeration::test_no_constraint_system_solved_twice"]),
+    (SIMPLEX, "c * self.d > 0", "c * self.d >= 0",  # a vertex on the hyperplane read as bit 1
+     ["tests/test_simplex.py::TestVertexSide::test_positive_agrees_with_the_point",
+      "tests/test_empirical.py::TestEmptySiblings::test_vertex_child_is_never_empty"]),
+    (EMPIRICAL, "tab, _tighten(bounds, key, h[bit])))", "tab, bounds))",  # a survivor's halfspace not kept
+     ["tests/test_empirical.py::TestEmptySiblings::test_survivor_keeps_its_parents_tableau",
+      "tests/test_empirical.py::TestEnumeration::test_bland_path_is_pinned"]),
+    (EMPIRICAL, "_tighten(dict(bounds), key, h[0])", "_tighten(bounds, key, h[0])",  # split children share bounds
+     ["tests/test_empirical.py::TestEmptySiblings::test_expansion_leaves_its_region_as_it_was"]),
+    (EMPIRICAL, "(child, _cut(tab, f, d, 1)) if bit", "(child, tab) if bit",  # a vertex child left without its row
+     ["tests/test_empirical.py::TestEnumeration::test_bland_path_is_pinned"]),
     (EMPIRICAL, "grid = 10 ** 9", "grid = 10 ** 2",  # samples on a grid coarser than a region
      ["tests/test_empirical.py::TestSampling::test_finds_a_region_narrower_than_a_coarse_grid"]),
     (TRANSITION, "counts[n_prime - k + 1:]", "counts[n_prime - k:]",  # dimension k kept and folded

@@ -125,7 +125,8 @@ class RegionRecord:
 class Region(NamedTuple):
     """A region under expansion: its signature prefix, its optimal LP
     tableau, the ``live`` rows of its active units and, per key, the tightest
-    halfspace on each side among its path's unit rows (see ``_expand_region``)."""
+    halfspace on each side among its path's unit rows, in a dict of its own
+    (see ``_expand_region``)."""
 
     prefix: MultiSignature
     tableau: Tableau
@@ -215,21 +216,16 @@ def _disjoint(h: Half, k: Half) -> bool:
     return h[0] != k[0] and h[1] * k[2] + k[1] * h[2] + (h[3] | k[3]) > 0
 
 
-def _tighten(bounds: Mapping, groups: Mapping, bits: Signature) -> dict:
-    """``bounds`` with each grouped unit's halfspace for its bit, keeping per key
-    the tightest on each side: the greater num / den, then the strict one."""
-    bounds = dict(bounds)
-    for key, units in groups.items():
-        for u, h in units:
-            h, pair = h[bits[u]], bounds.get(key, _FREE)
-            k = pair[h[0]]
-            if (h[1] * k[2] - k[1] * h[2], h[3]) > (0, k[3]):
-                bounds[key] = (h, pair[1]) if h[0] == 0 else (pair[0], h)
+def _tighten(bounds: dict, key: tuple[int, ...], h: Half) -> dict:
+    """``bounds``, updated in place to keep h if it is the tightest halfspace of
+    ``key`` on its side: the greater num / den, then the strict one."""
+    pair = bounds.get(key, _FREE)
+    if (h[1] * pair[h[0]][2] - pair[h[0]][1] * h[2], h[3]) > (0, pair[h[0]][3]):
+        bounds[key] = (h, pair[1]) if h[0] == 0 else (pair[0], h)
     return bounds
 
 
-def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]],
-                   last: bool) -> list[Region]:
+def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]) -> list[Region]:
     """All feasible extensions of one region by one layer.
 
     The region's ``live`` pairs each active unit k of the previous layer
@@ -244,23 +240,33 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     tableau, with at most one LP, so empty bit prefixes are pruned early
     and no LP is rebuilt.
 
-    A unit whose bit is already known needs no LP and keeps its parent's
-    tableau. A unit whose row equals an earlier unit's takes that unit's
-    bit. A unit with a = 0 is constant on the region (in the paper's terms,
-    column 0 of every bound matrix is e_0): it takes bit 1 iff c > 0, and
-    its other child is empty. Its left-out row prunes nothing here or below:
-    0 <= -c holds everywhere, and for d t <= c, t is only in bit-1 rows
-    a.z + c' >= d' t, d' > 0, and t <= 1, so a feasible (z, t) with t > 0
-    stays feasible as (z, min(t, c / d)).
+    A unit's hyperplane that misses a partial region leaves it whole: the
+    one child is the partial itself, which keeps its tableau with no copy,
+    no row and no LP. A unit with a = 0 is constant on the region (in the
+    paper's terms, column 0 of every bound matrix is e_0) and takes bit 1
+    iff c > 0. Every other unit is decided at the vertex z* of each
+    partial's tableau, where t* > 0: the child whose bit holds at z* is
+    never empty, so only the other one is tested, and if it is empty the
+    hyperplane misses the region. Its left-out row prunes nothing here or below: for
+    bit 0, a.z + c <= 0 holds on the whole region; for bit 1, a.z + c > 0
+    does, t is only in bit-1 rows a'.z + c' >= d' t, d' > 0, and t <= 1, so
+    a feasible (z, t) with t > 0 stays feasible as (z, min(t, (a.z + c) / d)).
+    Counts and prefix sets are as with the row; t* and with it a witness
+    can move to another point of the same region.
 
-    Every other unit has the key k = a / g, g = +-gcd(a) signed so that k's
-    first nonzero entry is positive: bit 1 holds where g (k.z + c / g) > 0,
-    bit 0 on the rest. A child whose halfspace is ``_disjoint`` from one of
-    its key on the region's path (``region.bounds``, made only when not
-    ``last``) or from an earlier unit's in this sweep, at that unit's bit,
-    is empty with no copy and no LP. Every other child gets the LP of
-    ``_cut`` it got without these rules, so records and witnesses are
-    unchanged.
+    The other child is tested without an LP first. Each unit with a != 0
+    has the key k = a / g, g = +-gcd(a) signed so that k's first nonzero
+    entry is positive: bit 1 holds where g (k.z + c / g) > 0, bit 0 on the
+    rest. Each partial keeps its own ``bounds``, per key the tightest
+    halfspace on each side among its path's unit rows, in this sweep and
+    before it, started from a copy of the region's and updated in place; a
+    child whose halfspace is ``_disjoint`` from the one on the opposite side
+    is empty. A unit whose row equals an earlier unit's is one such miss:
+    its vertex bit is the earlier unit's, and its other halfspace is the
+    complement of a bound already in the dict. Only a child that passes
+    gets ``_cut``. If that LP finds it
+    nonempty, the vertex child gets its own ``_cut`` too, and the bit-0
+    child takes a copy of the bounds.
     """
     d, rows = region.live
     q, weights, biases = layer
@@ -275,28 +281,30 @@ def _expand_region(region: Region, layer: tuple[int, list[list[int]], list[int]]
     d *= q
     # No solve at the root: the previous layer's leaf LP (or, for the input
     # region, the box itself) already proved the region's constraints feasible.
-    partial = [((), region.tableau)]
-    # first: each row's first unit; groups: each key's units so far, with their
-    # halfspaces for bit 0 and 1.
-    zero, first, groups = [0] * (width - 1), {}, {}
-    for u, f in enumerate(funcs):
+    partial = [((), region.tableau, dict(region.bounds))]
+    zero = [0] * (width - 1)
+    for f in funcs:
         *a, c = f
-        if (v := first.setdefault(tuple(f), u)) != u or a == zero:
-            partial = [(bits + (bits[v] if v != u else int(c > 0),), tab) for bits, tab in partial]
+        if a == zero:
+            partial = [(bits + (int(c > 0),), *rest) for bits, *rest in partial]
             continue
         g = gcd(*a) if a > zero else -gcd(*a)
-        key, s, g = tuple(x // g for x in a), int(g < 0), abs(g)
-        h = (1 - s, c, g, 0), (s, -c, g, 1)
-        path, near = region.bounds.get(key, ()), groups.setdefault(key, [])
-        partial = [(bits + (bit,), child) for bits, tab in partial for bit in (0, 1)
-                   if not ((path or near) and any(_disjoint(h[bit], k) for k in (
-                       *path, *(hw[bits[w]] for w, hw in near))))
-                   and (child := _cut(tab, f, d, bit)) is not None]
-        near.append((u, h))
+        key, h = tuple(x // g for x in a), ((int(g > 0), c, abs(g), 0), (int(g < 0), -c, abs(g), 1))
+        grown = []
+        for bits, tab, bounds in partial:
+            bit = int(tab.positive(a, c))  # the child that holds the vertex is never empty
+            # the other child's halfspace faces the bound on the vertex child's side
+            if _disjoint(h[1 - bit], bounds.get(key, _FREE)[h[bit][0]]) or (
+                    child := _cut(tab, f, d, 1 - bit)) is None:
+                grown.append((bits + (bit,), tab, _tighten(bounds, key, h[bit])))
+                continue
+            tabs = (child, _cut(tab, f, d, 1)) if bit else (_cut(tab, f, d, 0), child)
+            grown += ((bits + (0,), tabs[0], _tighten(dict(bounds), key, h[0])),
+                      (bits + (1,), tabs[1], _tighten(bounds, key, h[1])))
+        partial = grown
     return [Region(region.prefix + (bits,), tab,
-                   (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)),
-                   {} if last else _tighten(region.bounds, groups, bits))
-            for bits, tab in partial]
+                   (d, tuple((k, funcs[k]) for k, bit in enumerate(bits) if bit)), bounds)
+            for bits, tab, bounds in partial]
 
 
 def enumerate_regions(
@@ -308,8 +316,10 @@ def enumerate_regions(
     """Exact enumeration of attained multi-signatures in the box, depth-first over
     an explicit stack; records come in that order, which sorts their prefixes.
 
-    A unit that is constant on a region (a = 0) costs no LP: column 0 of
-    every bound matrix is e_0 (see ``_expand_region``)."""
+    A unit whose hyperplane misses a region leaves it whole, on its own
+    tableau with no row added: column 0 of every bound matrix is e_0. A
+    constant unit (a = 0) costs no LP, any other at most one per child
+    (see ``_expand_region``)."""
     _check_guard(net, allow_large)
     radius = _box_radius(box_radius)
     # Each layer in ints, made per call: W q and b q, q the lcm of its denominators.
@@ -326,7 +336,7 @@ def enumerate_regions(
         if (depth := len(region.prefix)) == len(layers):
             records.append(RegionRecord(region.prefix, tuple(region.tableau.point(radius)[:-1])))
         else:
-            stack.extend(reversed(_expand_region(region, layers[depth], depth + 1 == len(layers))))
+            stack.extend(reversed(_expand_region(region, layers[depth])))
     return EnumerationResult(tuple(records))
 
 

@@ -62,6 +62,12 @@ class Tableau:
                 z[v] = Fraction(row[-1] * q - p * self.d, self.d * q)
         return z
 
+    def positive(self, a: Sequence[int], c: int) -> bool:
+        """Whether a.z + c > 0 at the current basic solution, for ints a over the
+        first len(a) structural variables and c: the sign of d (a.z + c), one int
+        sum over the basic structural rows, where d z_v = row[-1]."""
+        return sum(a[v] * r[-1] for v, r in zip(self.basis, self.table) if v < len(a)) + c * self.d > 0
+
 
 def _coprime(values: Sequence) -> tuple[list[int], int, int]:
     """Coprime ints k and ints g, m > 0 with values = k * g / m, for rationals

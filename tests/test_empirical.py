@@ -296,7 +296,7 @@ class TestEnumeration:
         monkeypatch.setattr(empirical, "solve_max", recording)
         enumerate_regions(random_network(Architecture(2, (3, 2)), 4), F(10))
         assert len(solved) == len(set(solved))
-        assert len(solved) == 41
+        assert len(solved) == 31
         assert all(n == 0 for holds, n in cost if holds)
         assert {holds for holds, _ in cost} == {True, False}
 
@@ -354,7 +354,7 @@ class TestEnumeration:
         monkeypatch.setattr(simplex, "_pivot", counting_pivot)
         monkeypatch.setattr(empirical, "solve_max", counting_solve)
         result = enumerate_regions(random_network(Architecture(3, (5, 5, 5)), 7))
-        assert (result.count, len(lps), len(pivots)) == (302, 2074, 1735)
+        assert (result.count, len(lps), len(pivots)) == (302, 1200, 1670)
 
 
 def scaled_network(net, s):
@@ -446,7 +446,7 @@ class TestConstantUnits:
         root = empirical._root(F(10), 2)
         tab = root.tableau
         before = (tab.table[:], tab.basis[:], tab.obj, tab.d)
-        children = empirical._expand_region(root, (1, [[0, 0]], [c]), True)
+        children = empirical._expand_region(root, (1, [[0, 0]], [c]))
         assert [child.prefix for child in children] == [((int(c > 0),),)]
         child = next((ch.tableau for ch in children if ch.prefix == ((bit,),)), None)
         assert child is (tab if kept == "tab" else None)
@@ -513,19 +513,20 @@ class TestParallelUnits:
 
     def test_layer_on_one_live_row_matches_the_oracle(self, monkeypatch):
         """Bit 1 of -h - 1 contradicts h > 0 on the path, and each unit after
-        h - 1 is decided against it on one side: 9 LPs, where deciding every
+        h - 1 is decided against it on one side, where the child at the vertex
+        needs no LP once its sibling is empty: 6 LPs, where deciding every
         child by an LP takes 12, and h = 1 itself is a region."""
         solves = counting_solves(monkeypatch)
         result = enumerate_regions(ON_ONE_ROW, 10 ** 9)
         assert result.multisignatures == oracle_regions(ON_ONE_ROW)
         assert ((1,), (0, 0, 0)) in result.multisignatures
-        assert (result.count, len(solves)) == (4, 9)
+        assert (result.count, len(solves)) == (4, 6)
 
     def test_tightest_bound_stands_for_its_side(self):
-        """The premise of ``Region.bounds``: among seeded random halfspaces of
-        one key, kept over two layers, a halfspace is ``_disjoint`` from some
-        member iff it is disjoint from the bound ``_tighten`` keeps on the
-        opposite side."""
+        """The premise of a partial signature's ``bounds``: among seeded random
+        halfspaces of one key, kept over two layers, a halfspace is
+        ``_disjoint`` from some member iff it is disjoint from the bound
+        ``_tighten`` keeps on the opposite side."""
         rng = random.Random(0)
 
         def halves():
@@ -536,10 +537,11 @@ class TestParallelUnits:
         for _ in range(300):
             bounds, members = {}, []
             for _ in range(2):
-                units = [(u, halves()) for u in range(rng.randint(0, 4))]
+                units = [halves() for _ in range(rng.randint(0, 4))]
                 bits = tuple(rng.randint(0, 1) for _ in units)
-                bounds = empirical._tighten(bounds, {(1, -2): units}, bits)
-                members += [h[bits[u]] for u, h in units]
+                for h, bit in zip(units, bits):
+                    assert empirical._tighten(bounds, (1, -2), h[bit]) is bounds
+                members += [h[bit] for h, bit in zip(units, bits)]
             kept = bounds.get((1, -2), empirical._FREE)
             for _ in range(6):
                 h = halves()[rng.randint(0, 1)]
@@ -557,6 +559,89 @@ class TestParallelUnits:
         result = enumerate_regions(net, BOX10, allow_large=True)
         assert result.multisignatures == {((0,) * k,), ((1,) * k,)}
         assert len(solves) == 2
+
+
+def tableau_state(tab):
+    return [row[:] for row in tab.table], tab.basis[:], tab.nonbasic[:], tab.obj[:], tab.d
+
+
+class TestEmptySiblings:
+    def test_survivor_keeps_its_parents_tableau(self, monkeypatch):
+        """In the box [-10, 10]^2, x1 + x2 > 16 misses x1 <= 5: its bit-1 child
+        there is empty, so its bit-0 child is that partial region itself, on
+        its tableau, with no ``_cut`` of its own. On x1 > 5 it crosses and both
+        children get one. A hyperplane that misses the box keeps the root's."""
+        cuts = []
+        cut = empirical._cut
+
+        def recording(tab, f, d, bit):
+            cuts.append((tab, bit, cut(tab, f, d, bit)))
+            return cuts[-1][2]
+
+        monkeypatch.setattr(empirical, "_cut", recording)
+        root = empirical._root(BOX10, 2)
+        children = empirical._expand_region(root, (1, [[1, 0], [1, 1]], [-5, -16]))
+        assert [child.prefix for child in children] == [((0, 0),), ((1, 0),), ((1, 1),)]
+        left = next(new for tab, bit, new in cuts if tab is root.tableau and bit == 0)
+        assert children[0].tableau is left
+        assert [(bit, new) for tab, bit, new in cuts if tab is left] == [(1, None)]
+        cuts.clear()
+        (child,) = empirical._expand_region(root, (1, [[1, 0]], [-20]))
+        assert child.prefix == ((0,),) and child.tableau is root.tableau
+        assert cuts == [(root.tableau, 1, None)]
+        # Its halfspace x1 <= 20 is kept all the same: z1 = x1 + 10 <= 30 on key (1, 0).
+        assert child.bounds == {(1, 0): (empirical._FREE[0], (1, -30, 1, 0))}
+
+    def test_vertex_child_is_never_empty(self, monkeypatch):
+        """Over seeded enumerations, the child whose bit holds at its parent's
+        vertex (read off ``point`` in Fractions) is cut only after its
+        sibling's LP found that one nonempty, and then always gets a tableau:
+        each parent and unit has one ``_cut``, of the other bit and empty, or
+        two, the other bit first, both nonempty."""
+        cuts, calls = {}, []
+        cut, expand = empirical._cut, empirical._expand_region
+
+        def recording(tab, f, d, bit):
+            z = tab.point()
+            at_vertex = int(sum(x * v for x, v in zip(f[:-1], z)) + f[-1] > 0)
+            new = cut(tab, f, d, bit)
+            cuts.setdefault((len(calls), id(tab), tuple(f)), [tab]).append(
+                (bit == at_vertex, new is not None))
+            return new
+
+        monkeypatch.setattr(empirical, "_cut", recording)
+        monkeypatch.setattr(empirical, "_expand_region",
+                            lambda *args: calls.append(None) or expand(*args))
+        for net in (CONSTANT_UNITS, DEAD_FIRST_LAYER, *map(degenerate_network, range(12))):
+            enumerate_regions(net, BOX10)
+        logs = {tuple(log) for _, *log in cuts.values()}
+        assert logs == {((False, False),), ((False, True), (True, True))}
+
+    def test_expansion_leaves_its_region_as_it_was(self, monkeypatch):
+        """Each partial signature's bounds are updated in place, so each must be
+        its own: over seeded enumerations, expanding a region leaves its bounds
+        and tableau as they were, a second expansion gives equal children, and
+        no two children, nor a child and the region, share a bounds dict."""
+        expand = empirical._expand_region
+        sizes = []
+
+        def twice(region, layer):
+            bounds, tab = dict(region.bounds), tableau_state(region.tableau)
+            first = expand(region, layer)
+            assert region.bounds == bounds and tableau_state(region.tableau) == tab
+            again = expand(region, layer)
+            assert ([(ch.prefix, ch.live, ch.bounds, tableau_state(ch.tableau)) for ch in first]
+                    == [(ch.prefix, ch.live, ch.bounds, tableau_state(ch.tableau)) for ch in again])
+            dicts = [region.bounds, *(ch.bounds for ch in first)]
+            assert len(set(map(id, dicts))) == len(dicts)
+            sizes.append(sum(map(len, dicts)))
+            return first
+
+        monkeypatch.setattr(empirical, "_expand_region", twice)
+        for net in (ON_ONE_ROW, *map(degenerate_network, range(12))):
+            result = enumerate_regions(net, BOX10)
+            assert {signature_at(net, r.witness) for r in result.records} == result.multisignatures
+        assert max(sizes) > 2
 
 
 class TestWitnesses:

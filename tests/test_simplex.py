@@ -368,3 +368,29 @@ class TestAnswerReuse:
                 assert solve_max(tab, []) == (OPTIMAL, *self.fresh(tab))
         # Answers reused with no pivot, and answers a pivot replaced.
         assert kept > 50 and moved > 50
+
+
+class TestVertexSide:
+    def test_positive_agrees_with_the_point(self):
+        """``Tableau.positive(a, c)``, one int sum, reads a.z + c > 0 as the
+        ``Fraction`` point does, on seeded optimal tableaux of seeded rows and
+        for rows through the vertex, where a.z + c = 0 and the answer is False."""
+        rng = random.Random(5)
+        verdicts = []
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            tab = capped([F(rng.randint(-3, 3)) for _ in range(n)],
+                         [F(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(n)])
+            rows = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(rng.randint(0, 4))]
+            if solve_max(tab, rows)[0] != OPTIMAL:
+                continue
+            z = tab.point()
+            for _ in range(5):
+                a = [rng.randint(-5, 5) for _ in range(rng.randint(1, n))]
+                at = sum(x * v for x, v in zip(a, z))
+                a = [x * at.denominator for x in a]
+                c = -at.numerator + rng.choice((-1, 0, 0, 1, rng.randint(-50, 50)))
+                expected = sum(x * v for x, v in zip(a, z)) + c > 0
+                assert tab.positive(a, c) is expected
+                verdicts.append((expected, sum(x * v for x, v in zip(a, z)) + c == 0))
+        assert {(True, False), (False, False), (False, True)} <= set(verdicts)
